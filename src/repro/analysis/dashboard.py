@@ -111,41 +111,41 @@ def ascii_plot(
 
 def render_report(db, title: str = "Benchpark results dashboard") -> str:
     """A full markdown dashboard over a metrics database (§5's interactive
-    dashboard, in its textual form): per-FOM benchmark × system grids,
-    usage metrics, and record counts.
+    dashboard, in its textual form): per-FOM benchmark × system grids of
+    mean values, usage metrics, and record counts.
+
+    A cell averages the usable (finite numeric) values of its (benchmark,
+    system, FOM); the grid's units are those of the first record of the
+    last cell that has any.
     """
-    systems = sorted({r.system for r in db.query()})
-    benchmarks = sorted({r.benchmark for r in db.query()})
-    fom_names = sorted({r.fom_name for r in db.query()})
+    systems = sorted(db.labels("system"))
+    benchmarks = sorted(db.labels("benchmark"))
     lines = [f"# {title}", "",
              f"{len(db)} records | benchmarks: {', '.join(benchmarks)} | "
              f"systems: {', '.join(systems)}", ""]
-    for fom in fom_names:
+    fom_names = db.labels("fom_name")
+    fom_col = db.column("fom_name")
+    ok = db.column("value_ok")
+    values = db.column("value")
+    for f, fom in sorted(enumerate(fom_names), key=lambda item: item[1]):
         cells: Dict[Tuple[str, str], Any] = {}
         units = ""
         for b in benchmarks:
             for s in systems:
-                recs = db.query(benchmark=b, system=s, fom_name=fom)
-                numeric = []
-                for r in recs:
-                    try:
-                        numeric.append(float(r.value))
-                    except (TypeError, ValueError):
-                        continue
-                if numeric:
-                    cells[(b, s)] = float(np.mean(numeric))
-                    units = recs[0].units
+                rows = db.partition_rows(s, b)
+                rows = rows[fom_col[rows] == f]
+                numeric = rows[ok[rows]]
+                if numeric.size:
+                    cells[(b, s)] = float(np.mean(values[numeric]))
+                    units = db.units(int(rows[0]))
         if not cells:
             continue
         rows = sorted({b for b, _ in cells})
         unit_suffix = f" [{units}]" if units else ""
-        lines.append(f"## {fom}{unit_suffix} (mean)")
-        lines.append("")
-        lines.append(render_grid(rows, systems, cells))
-        lines.append("")
-    usage = db.benchmark_usage()
+        lines += [f"## {fom}{unit_suffix} (mean)", "",
+                  render_grid(rows, systems, cells), ""]
     lines.append("## benchmark usage (records per benchmark)")
     lines.append("")
-    for name, count in usage.items():
+    for name, count in db.benchmark_usage().items():
         lines.append(f"- {name}: {count}")
     return "\n".join(lines)

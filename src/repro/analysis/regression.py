@@ -11,7 +11,7 @@ threshold in the bad direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -118,28 +118,6 @@ class RegressionDetector:
         flush_run()
         return events
 
-    # -- incremental consumption ----------------------------------------
-    def make_state(self, higher_is_better: Optional[bool] = None):
-        """A :class:`~repro.analysis.engine.SeriesState` preconfigured with
-        this detector's parameters — feed it raw (epoch, value) samples as
-        they arrive and read events in O(new) per epoch, bit-identical to
-        a batch :meth:`detect` over the same history."""
-        from .engine.incremental import SeriesState
-
-        return SeriesState(
-            threshold=self.threshold,
-            window=self.window,
-            higher_is_better=(self.higher_is_better if higher_is_better is None
-                              else higher_is_better),
-        )
-
-    def detect_incremental(self, state, new_samples, metric: str = "metric"
-                           ) -> List[RegressionEvent]:
-        """Absorb ``new_samples`` ((epoch, value) pairs) into ``state`` and
-        return the current event list for the whole series seen so far."""
-        state.extend(new_samples)
-        return state.events(metric=metric)
-
     def detect_in_db(self, db, benchmark: str, system: str, fom_name: str,
                      epoch_key: str = "epoch",
                      exclude_flaky: bool = True) -> List[RegressionEvent]:
@@ -151,10 +129,7 @@ class RegressionDetector:
         regression, only of the transient fault the resilience layer
         already retried.
         """
-        raw = db.series(benchmark, system, fom_name, epoch_key,
-                        exclude_flaky=exclude_flaky)
-        by_epoch: dict = {}
-        for epoch, value in raw:
-            by_epoch.setdefault(epoch, []).append(value)
-        series = [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
+        series = db.epoch_series(benchmark, system, fom_name,
+                                 epoch_key=epoch_key,
+                                 exclude_flaky=exclude_flaky)
         return self.detect(series, metric=f"{benchmark}/{system}/{fom_name}")

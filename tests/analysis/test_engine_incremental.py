@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (
-    OnlineStats,
-    RegressionDetector,
-    SeriesState,
-)
+from repro.analysis import RegressionDetector, SeriesState
 from repro.analysis.engine import AnalysisEngine
 from repro.ci import MetricsDatabase
 
@@ -25,9 +21,17 @@ def _history(n_epochs=16, step_at=10, noise=0.03):
     return series
 
 
+def _state(det, higher_is_better=None):
+    """A SeriesState configured like ``det``."""
+    return SeriesState(threshold=det.threshold, window=det.window,
+                       higher_is_better=(det.higher_is_better
+                                         if higher_is_better is None
+                                         else higher_is_better))
+
+
 def _batch(det, series, metric="m"):
-    """The row-oriented reference: group raw samples per epoch exactly as
-    detect_in_db does, then run the batch detector."""
+    """The batch reference: group raw samples per epoch in sorted order,
+    then run the batch detector."""
     by_epoch = {}
     for epoch, value in sorted(series):
         by_epoch.setdefault(epoch, []).append(value)
@@ -39,7 +43,7 @@ class TestBitIdentity:
     def test_one_shot_equals_batch(self):
         det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
-        state = det.make_state()
+        state = _state(det)
         state.extend(series)
         assert state.events("m") == _batch(det, series)
 
@@ -47,7 +51,7 @@ class TestBitIdentity:
     def test_chunked_feed_equals_batch(self, chunk):
         det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
-        state = det.make_state()
+        state = _state(det)
         for i in range(0, len(series), chunk):
             state.extend(series[i:i + chunk])
             # at every intermediate point the state equals a full rescan of
@@ -60,7 +64,7 @@ class TestBitIdentity:
         det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
         late = [(2.0, 60.0), (11.0, 95.0)]
-        state = det.make_state()
+        state = _state(det)
         state.extend(series)
         state.extend(late)
         assert state.events("m") == _batch(det, series + late)
@@ -69,7 +73,7 @@ class TestBitIdentity:
         det = RegressionDetector(threshold=0.10, window=2,
                                  higher_is_better=False)
         series = [(float(e), 10.0 if e < 6 else 13.0) for e in range(12)]
-        state = det.make_state()
+        state = _state(det)
         for pair in series:
             state.extend([pair])
         events = state.events("walltime")
@@ -78,16 +82,9 @@ class TestBitIdentity:
 
     def test_short_series_reports_nothing(self):
         det = RegressionDetector(window=3)
-        state = det.make_state()
+        state = _state(det)
         state.extend([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
         assert state.events() == []
-
-    def test_detect_incremental_helper(self):
-        det = RegressionDetector(threshold=0.10, window=3)
-        series = _history()
-        state = det.make_state()
-        events = det.detect_incremental(state, series, "m")
-        assert events == _batch(det, series)
 
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=12),
@@ -99,7 +96,7 @@ class TestBitIdentity:
     def test_property_random_feeds(self, pairs, window):
         det = RegressionDetector(threshold=0.10, window=window)
         series = [(float(e), v) for e, v in pairs]
-        state = det.make_state()
+        state = _state(det)
         state.extend(series)
         assert state.events("m") == _batch(det, series)
         by_epoch = {}
@@ -155,74 +152,14 @@ class TestEngineScanParity:
         engine.scan(self.TARGETS)  # no new data: nothing re-absorbed
         assert state.samples_seen == seen
 
-    def test_series_summary_is_welford_over_raw_samples(self):
-        db = MetricsDatabase()
-        engine = AnalysisEngine(db, threshold=0.10, window=3)
-        for epoch in range(6):
-            self._record_epoch(db, epoch)
-        engine.scan(self.TARGETS)
-        summary = engine.series_summary("stream", "cts1", "triad_bw")
-        raw = [v for _, v in db.series("stream", "cts1", "triad_bw", "epoch",
-                                       exclude_flaky=True)]
-        assert summary["count"] == len(raw)
-        assert summary["mean"] == pytest.approx(np.mean(raw))
-        assert summary["std"] == pytest.approx(np.std(raw))
-
     def test_profiler_records_stage_timings(self):
         db = MetricsDatabase()
         engine = AnalysisEngine(db, threshold=0.10, window=3)
         for epoch in range(8):
             self._record_epoch(db, epoch)
         engine.scan(self.TARGETS)
-        engine.dashboard()
-        stages = set(engine.profiler.stages())
-        assert {"analysis:refresh", "analysis:detect", "analysis:scan",
-                "analysis:dashboard"} <= stages
-
-
-class TestOnlineStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(50.0, 4.0, size=257)
-        stats = OnlineStats()
-        for value in data:
-            stats.push(float(value))
-        assert stats.count == data.size
-        assert stats.mean == pytest.approx(np.mean(data), rel=1e-12)
-        assert stats.variance() == pytest.approx(np.var(data), rel=1e-9)
-        assert stats.variance(ddof=1) == pytest.approx(np.var(data, ddof=1),
-                                                       rel=1e-9)
-        assert stats.std() == pytest.approx(np.std(data), rel=1e-9)
-
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.normal(size=100), rng.normal(size=37) + 5.0
-        left, right, whole = OnlineStats(), OnlineStats(), OnlineStats()
-        for v in a:
-            left.push(float(v))
-            whole.push(float(v))
-        for v in b:
-            right.push(float(v))
-            whole.push(float(v))
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert left.variance() == pytest.approx(whole.variance(), rel=1e-9)
-
-    def test_merge_with_empty(self):
-        stats = OnlineStats()
-        stats.push(3.0)
-        stats.merge(OnlineStats())
-        assert (stats.count, stats.mean) == (1, 3.0)
-        empty = OnlineStats()
-        empty.merge(stats)
-        assert (empty.count, empty.mean) == (1, 3.0)
-
-    def test_degenerate(self):
-        stats = OnlineStats()
-        assert stats.variance() == 0.0
-        stats.push(2.0)
-        assert stats.variance(ddof=1) == 0.0
+        assert {"analysis:detect", "analysis:scan"} <= set(
+            engine.profiler.stages())
 
 
 class TestStateValidation:

@@ -106,3 +106,44 @@ def test_detector_always_finds_big_cliff(baseline, drop_factor, pre_len):
 def test_detector_never_fires_on_constants(value, n):
     d = RegressionDetector(threshold=0.05, window=3)
     assert d.detect(series([value] * n)) == []
+
+
+class TestNonFiniteSamples:
+    """One non-finite sample must not blind the detector: NaN and ±inf
+    are dropped at ingest, so every consumer of the series skips them."""
+
+    def _cliff_db(self, first_value):
+        # 100 -> 50 at epoch 8, 16 epochs, one sample an epoch
+        db = MetricsDatabase()
+        for epoch in range(16):
+            value = first_value if epoch == 0 else (
+                100.0 if epoch < 8 else 50.0)
+            db.record("stream", "cts1", "x", "triad_bw", value, "MB/s",
+                      {"epoch": str(epoch)})
+        return db
+
+    def _events(self, db):
+        from repro.analysis.engine import AnalysisEngine
+
+        batch = RegressionDetector().detect_in_db(
+            db, "stream", "cts1", "triad_bw")
+        incremental = AnalysisEngine(db).scan(
+            [("stream", "cts1", "triad_bw", True)])
+        assert incremental == batch
+        return batch
+
+    def test_cliff_found_on_clean_series(self):
+        events = self._events(self._cliff_db(100.0))
+        assert [e.epoch for e in events] == [8.0]
+
+    @pytest.mark.parametrize("bad", ["nan", float("nan"), float("inf"),
+                                     "-inf", "1e999"])
+    def test_cliff_found_after_non_finite_first_sample(self, bad):
+        db = self._cliff_db(bad)
+        events = self._events(db)
+        assert [e.epoch for e in events] == [8.0]
+        assert events[0].ratio == pytest.approx(0.5)
+        # the sample is kept as recorded, but left out of every analysis
+        assert db.to_records()[0]["value"] is bad
+        assert db.series("stream", "cts1", "triad_bw", "epoch")[0][0] == 1.0
+        assert db.aggregate("triad_bw")["cts1"]["count"] == 15

@@ -1,5 +1,5 @@
-"""The (system, benchmark)/(system, experiment) indexes behind
-MetricsDatabase.query — indexed lookups must match a full scan exactly."""
+"""The (system, benchmark) partitions and column filters behind
+MetricsDatabase.query — narrowed lookups must match a full scan exactly."""
 
 from repro.ci import MetricsDatabase
 
@@ -21,7 +21,7 @@ class TestIndexedQuery:
     def test_system_benchmark_matches_full_scan(self):
         db = _populated()
         indexed = db.query(system="cts1", benchmark="stream")
-        scanned = [r for r in db._records
+        scanned = [r for r in db.query()
                    if r.system == "cts1" and r.benchmark == "stream"]
         assert indexed == scanned
         assert len(indexed) == 4
@@ -34,7 +34,7 @@ class TestIndexedQuery:
         assert recs
         assert all(r.system == "tioga" and r.experiment == "amg2023_exp1"
                    for r in recs)
-        scanned = [r for r in db._records
+        scanned = [r for r in db.query()
                    if r.system == "tioga" and r.experiment == "amg2023_exp1"]
         assert recs == scanned
 
@@ -54,32 +54,34 @@ class TestIndexedQuery:
     def test_from_records_rebuilds_indexes(self):
         db = _populated()
         rebuilt = MetricsDatabase.from_records(db.to_records())
-        assert (len(rebuilt.query(system="cts1", benchmark="amg2023"))
-                == len(db.query(system="cts1", benchmark="amg2023")))
-        assert rebuilt._by_system_benchmark.keys() == db._by_system_benchmark.keys()
+        for system in ("cts1", "tioga", "sierra"):
+            for benchmark in ("stream", "amg2023"):
+                assert (rebuilt.query(system=system, benchmark=benchmark)
+                        == db.query(system=system, benchmark=benchmark))
+                assert (rebuilt.partition_rows(system, benchmark).tolist()
+                        == db.partition_rows(system, benchmark).tolist())
 
     def test_dump_load_round_trip_queries_indexed_path(self, tmp_path):
         """A dump/load cycle must be the identity: sequence numbers
-        preserved, both secondary indexes rebuilt, and indexed queries on
-        the loaded database identical to the original's."""
+        preserved, partitions rebuilt, and narrowed queries on the loaded
+        database identical to the original's."""
         db = _populated()
         path = tmp_path / "metrics.json"
         db.dump(path)
         loaded = MetricsDatabase.load(path)
         assert loaded.to_records() == db.to_records()  # seq preserved
-        # the (system, benchmark) indexed path
+        # the (system, benchmark) partition path
         for system in ("cts1", "tioga", "sierra"):
             for benchmark in ("stream", "amg2023"):
                 assert (loaded.query(system=system, benchmark=benchmark)
                         == db.query(system=system, benchmark=benchmark))
-        # the (system, experiment) indexed path
+        # the (system, experiment) column-filter path
         assert (loaded.query(system="sierra", experiment="stream_exp1")
                 == db.query(system="sierra", experiment="stream_exp1"))
-        # indexes actually contain the records (not just lazily equal)
-        assert set(loaded._by_system_experiment) == set(db._by_system_experiment)
+        assert loaded.labels("experiment") == db.labels("experiment")
         # new records continue the sequence instead of colliding
         rec = loaded.record("stream", "cts1", "x", "total_time", 1.0)
-        assert rec.seq == max(r.seq for r in db._records) + 1
+        assert rec.seq == max(r.seq for r in db.query()) + 1
 
     def test_aggregate_skips_flaky_records(self):
         """aggregate must exclude flaky-tagged samples like series() and the
