@@ -3,13 +3,14 @@ engine, over the same synthetic multi-epoch campaign.
 
 Per epoch the analysis stack answers three questions: which series
 regressed, how do the scaling series model, and what does the dashboard
-look like now.  The **cold** pass answers them from scratch — a full
-:meth:`RegressionDetector.detect_in_db` rescan per series and an Extra-P
-refit (model cache cleared).  The **warm** pass answers them through one
-:class:`~repro.analysis.engine.AnalysisEngine`: persistent per-series
-regression state fed only new samples, and memoized model fits.  Both
-passes render the dashboard with ``render_report`` over the same columnar
-database.
+look like now.  The **cold** pass answers them from scratch with a fresh
+:class:`~repro.analysis.engine.AnalysisEngine` every epoch — every series
+is fed from its first sample and every Extra-P model is refit (model cache
+cleared).  The **warm** pass answers them through one persistent engine:
+per-series regression state fed only new samples, and memoized model
+fits.  Both passes run the same code and render the dashboard with
+``render_report`` over the same columnar database; each records its
+stages as Caliper regions (``analysis:*``).
 
 Correctness is asserted, not assumed: final regression events, Extra-P
 model strings, and the stored records must be identical between passes —
@@ -31,10 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import RegressionDetector, clear_model_cache, fit_model, render_report
+from repro.analysis import CaliperSession, clear_model_cache, render_report
 from repro.analysis.engine import AnalysisEngine
 from repro.ci import MetricsDatabase
-from repro.perf import Profiler
 
 SYSTEMS = ("cts1", "tioga", "sierra")
 BENCHMARKS = ("stream", "amg2023", "quicksilver")
@@ -86,49 +86,43 @@ def _ingest(db: MetricsDatabase, records) -> None:
         db.record(benchmark, system, exp, fom, value, units, dict(manifest))
 
 
-def run_cold(epoch_records, targets, profiler: Profiler):
-    """Per-epoch analysis from scratch: full rescans, fresh fits."""
+def _analyze(engine: AnalysisEngine, db: MetricsDatabase, targets):
+    """One epoch's questions: regression events, models, dashboard."""
+    events = engine.scan(targets)
+    models = {}
+    for benchmark, system, _, _ in targets[::2]:
+        model = engine.model(benchmark, system, "total_time")
+        if model is not None:
+            models[(benchmark, system)] = str(model)
+    with engine.caliper.region("analysis:dashboard"):
+        render_report(db)
+    return events, models
+
+
+def run_cold(epoch_records, targets, caliper: CaliperSession):
+    """Per-epoch analysis from scratch: a fresh engine rescans every series
+    and refits every model."""
     db = MetricsDatabase()
-    detectors = {hib: RegressionDetector(THRESHOLD, WINDOW, hib)
-                 for hib in (True, False)}
     events = models = None
     for records in epoch_records:
         _ingest(db, records)
-        with profiler.timer("cold:detect"):
-            found = []
-            for benchmark, system, fom, hib in targets:
-                found.extend(detectors[hib].detect_in_db(
-                    db, benchmark, system, fom))
-            events = sorted(found, key=lambda e: e.epoch)
-        with profiler.timer("cold:model"):
-            clear_model_cache()  # the non-incremental world refits
-            models = {}
-            for benchmark, system, _, _ in targets[::2]:
-                pairs = db.series(benchmark, system, "total_time", "nprocs",
-                                  exclude_flaky=True)
-                if pairs:
-                    models[(benchmark, system)] = str(fit_model(pairs))
-        with profiler.timer("cold:dashboard"):
-            render_report(db)
+        clear_model_cache()  # the non-incremental world refits
+        engine = AnalysisEngine(db, threshold=THRESHOLD, window=WINDOW,
+                                caliper=caliper)
+        events, models = _analyze(engine, db, targets)
     return db, events, models
 
 
-def run_warm(epoch_records, targets):
+def run_warm(epoch_records, targets, caliper: CaliperSession):
     """The same questions answered through one persistent AnalysisEngine."""
     db = MetricsDatabase()
-    engine = AnalysisEngine(db, threshold=THRESHOLD, window=WINDOW)
+    engine = AnalysisEngine(db, threshold=THRESHOLD, window=WINDOW,
+                            caliper=caliper)
     events = models = None
     for records in epoch_records:
         _ingest(db, records)
-        events = engine.scan(targets)
-        models = {}
-        for benchmark, system, _, _ in targets[::2]:
-            model = engine.model(benchmark, system, "total_time")
-            if model is not None:
-                models[(benchmark, system)] = str(model)
-        with engine.profiler.timer("analysis:dashboard"):
-            render_report(db)
-    return db, engine, events, models
+        events, models = _analyze(engine, db, targets)
+    return db, events, models
 
 
 def bench(epochs: int, systems, benchmarks) -> dict:
@@ -136,17 +130,18 @@ def bench(epochs: int, systems, benchmarks) -> dict:
     epoch_records = [synthesize_epoch(e, systems, benchmarks)
                      for e in range(epochs)]
 
-    cold_profiler = Profiler()
+    cold_caliper = CaliperSession()
     clear_model_cache()
     t0 = time.perf_counter()
     cold_db, cold_events, cold_models = run_cold(
-        epoch_records, targets, cold_profiler)
+        epoch_records, targets, cold_caliper)
     cold_s = time.perf_counter() - t0
 
+    warm_caliper = CaliperSession()
     clear_model_cache()
     t0 = time.perf_counter()
-    warm_db, engine, warm_events, warm_models = run_warm(
-        epoch_records, targets)
+    warm_db, warm_events, warm_models = run_warm(
+        epoch_records, targets, warm_caliper)
     warm_s = time.perf_counter() - t0
 
     # Correctness gates: the engine must be invisible in the results.
@@ -169,9 +164,9 @@ def bench(epochs: int, systems, benchmarks) -> dict:
         "models_identical": True,
         "model_cache": {k: v for k, v in model_cache().stats().items()
                         if k in ("hits", "misses", "hit_rate")},
-        "profiler_cold": cold_profiler.to_dict(),
-        "profiler_warm": engine.profiler.to_dict(),
-        "_profilers": (cold_profiler, engine.profiler),
+        "profiler_cold": cold_caliper.snapshot().to_dict(),
+        "profiler_warm": warm_caliper.snapshot().to_dict(),
+        "_profiles": (cold_caliper.snapshot(), warm_caliper.snapshot()),
     }
 
 
@@ -194,15 +189,15 @@ def main(argv=None) -> int:
     benchmarks = BENCHMARKS[:2] if args.quick else BENCHMARKS
 
     results = bench(epochs, systems, benchmarks)
-    cold_profiler, warm_profiler = results.pop("_profilers")
+    cold_profile, warm_profile = results.pop("_profiles")
     results["mode"] = "quick" if args.quick else "full"
     print(json.dumps(results, indent=2))
 
     # Per-stage breakdown to the job log: where the speedup comes from.
-    print("\n# cold (batch) stage breakdown", file=sys.stderr)
-    print(cold_profiler.report(), file=sys.stderr)
-    print("\n# warm (analysis engine) stage breakdown", file=sys.stderr)
-    print(warm_profiler.report(), file=sys.stderr)
+    print("\n# cold (fresh engine per epoch) region tree", file=sys.stderr)
+    print(cold_profile.runtime_report(), file=sys.stderr)
+    print("\n# warm (persistent engine) region tree", file=sys.stderr)
+    print(warm_profile.runtime_report(), file=sys.stderr)
 
     out = args.out
     if out is None and not args.quick:

@@ -100,9 +100,9 @@ def bench_warm_campaign(epochs: int) -> dict:
         "speedup_vs_baseline": baseline_s / warm_s if warm_s else float("inf"),
         "foms_identical": True,
         "regressions_identical": True,
-        "profiler_warm": warm.profiler.to_dict(),
+        "profiler_warm": warm.caliper.snapshot().to_dict(),
         "_baseline_obj_records": len(baseline.db),
-        "_profilers": (cold.profiler, warm.profiler),
+        "_profiles": (cold.caliper.snapshot(), warm.caliper.snapshot()),
     }
 
 
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
 
     campaign = bench_warm_campaign(epochs)
     campaign.pop("_baseline_obj_records", None)
-    cold_profiler, warm_profiler = campaign.pop("_profilers")
+    cold_profile, warm_profile = campaign.pop("_profiles")
     install = bench_parallel_install()
     memo = bench_concretize_memo()
 
@@ -173,10 +173,10 @@ def main(argv=None) -> int:
     print(json.dumps(results, indent=2))
 
     # Per-stage breakdown to the job log: where the warm epochs save time.
-    print("\n# cold campaign stage breakdown", file=sys.stderr)
-    print(cold_profiler.report(), file=sys.stderr)
-    print("\n# warm campaign stage breakdown", file=sys.stderr)
-    print(warm_profiler.report(), file=sys.stderr)
+    print("\n# cold campaign region tree", file=sys.stderr)
+    print(cold_profile.runtime_report(), file=sys.stderr)
+    print("\n# warm campaign region tree", file=sys.stderr)
+    print(warm_profile.runtime_report(), file=sys.stderr)
 
     out = args.out
     if out is None and not args.quick:

@@ -186,6 +186,11 @@ class CaliperSession:
         self._stack = [self._root]
         return profile
 
+    def snapshot(self) -> Profile:
+        """A copy of the live tree, read without resetting it; open
+        regions are allowed and show only their closed visits' time."""
+        return Profile.from_dict(Profile(self._root).to_dict())
+
     def last_profile(self) -> Optional[Profile]:
         return self._profiles[-1] if self._profiles else None
 

@@ -1,13 +1,13 @@
 """Incremental analysis engine (exaCB-style incremental result analysis).
 
-``SeriesState`` — incremental regression statistics, bit-identical to batch
-recomputation.  ``AnalysisEngine`` — feeds per-series states from the
-columnar ``MetricsDatabase`` and memoizes Extra-P fits, with per-stage
-Profiler timings.
+``AnalysisEngine`` feeds one ``SeriesState`` per series from the columnar
+``MetricsDatabase`` and memoizes Extra-P fits; each stage is a Caliper
+region of the session it is given.  ``SeriesState`` lives in
+:mod:`repro.analysis.regression` and is re-exported here.
 """
 
+from ..regression import SeriesState
 from .core import AnalysisEngine
-from .incremental import SeriesState
 
 __all__ = [
     "AnalysisEngine",

@@ -5,28 +5,28 @@ One :class:`AnalysisEngine` wraps a database and keeps every derived
 analysis artifact warm between epochs:
 
 * :meth:`detect` feeds only a series' *new* samples into its persistent
-  :class:`SeriesState` — per-epoch regression scans stop rescanning history;
-* :meth:`scan` / :meth:`diagnose` run that over many (benchmark, system,
-  fom) series;
+  :class:`~repro.analysis.regression.SeriesState` — per-epoch regression
+  scans stop rescanning history;
+* :meth:`scan` runs that over many (benchmark, system, fom) series and
+  :meth:`diagnose` ranks fault hypotheses from a scan's events;
 * :meth:`model` fits Extra-P over a database series through the memoized
   :func:`fit_model`/:func:`fit_multi_term_model` — unchanged series hit.
 
-Every stage records wall time into a shared
-:class:`~repro.perf.profiler.Profiler` under ``analysis:*`` stage names, so
-the speedup claims in ``benchmarks/bench_analysis.py`` decompose per stage.
+Every stage is a region of a :class:`~repro.analysis.caliper.CaliperSession`
+(``analysis:scan`` > ``analysis:detect``, ``analysis:diagnose``,
+``analysis:model``), so the speedup claims in
+``benchmarks/bench_analysis.py`` decompose per stage.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf import Profiler
-
+from ..caliper import CaliperSession
 from ..diagnosis import diagnose as _diagnose
 from ..extrap import (MultiTermModel, _copy_multi, _copy_single, fit_model,
                       fit_multi_term_model)
-from ..regression import RegressionEvent
-from .incremental import SeriesState
+from ..regression import RegressionEvent, SeriesState
 
 __all__ = ["AnalysisEngine"]
 
@@ -42,17 +42,16 @@ def _copy_model(model):
 
 
 class AnalysisEngine:
-    """Incremental analysis over a metrics database."""
+    """Incremental analysis over a metrics database.  Regression series
+    are indexed by the ``epoch`` manifest key; retried (flaky) samples are
+    left out."""
 
     def __init__(self, db, threshold: float = 0.10, window: int = 3,
-                 epoch_key: str = "epoch", exclude_flaky: bool = True,
-                 profiler: Optional[Profiler] = None):
+                 caliper: Optional[CaliperSession] = None):
         self.db = db
         self.threshold = threshold
         self.window = window
-        self.epoch_key = epoch_key
-        self.exclude_flaky = exclude_flaky
-        self.profiler = profiler or Profiler()
+        self.caliper = caliper or CaliperSession()
         #: Target -> SeriesState, and how many partition rows it has seen
         self._states: Dict[Target, SeriesState] = {}
         self._consumed: Dict[Target, int] = {}
@@ -77,16 +76,16 @@ class AnalysisEngine:
         samples recorded since this target was last examined."""
         target: Target = (benchmark, system, fom_name, bool(higher_is_better))
         state = self._state(target)
-        with self.profiler.timer("analysis:detect"):
+        with self.caliper.region("analysis:detect"):
             consumed = self._consumed[target]
             partition = self.db.partition_rows(system, benchmark)
             if partition.size > consumed:
                 rows = self.db.series_rows(
-                    benchmark, system, fom_name, self.epoch_key,
-                    exclude_flaky=self.exclude_flaky, start=consumed,
+                    benchmark, system, fom_name, "epoch",
+                    exclude_flaky=True, start=consumed,
                 )
                 if rows.size:
-                    epochs, _ = self.db.manifest_column(self.epoch_key)
+                    epochs, _ = self.db.manifest_column("epoch")
                     values = self.db.column("value")
                     state.extend(zip(epochs[rows].tolist(),
                                      values[rows].tolist()))
@@ -96,18 +95,18 @@ class AnalysisEngine:
     def scan(self, targets: Sequence[Target]) -> List[RegressionEvent]:
         """Detect over many series; events come back sorted by epoch
         (stable in target order)."""
-        with self.profiler.timer("analysis:scan"):
+        with self.caliper.region("analysis:scan"):
             events = [e for t in targets for e in self.detect(*t)]
         return sorted(events, key=lambda e: e.epoch)
 
     # -- diagnosis -------------------------------------------------------
-    def diagnose(self, targets: Sequence[Target]) -> List:
-        """Scan every target and rank subsystem-fault hypotheses from the
-        cross-series regression fingerprint."""
-        events = self.scan(targets)
-        with self.profiler.timer("analysis:diagnose"):
-            monitored = [t[2] for t in targets]
-            return _diagnose(events, monitored)
+    def diagnose(self, targets: Sequence[Target],
+                 events: Sequence[RegressionEvent]) -> List:
+        """Rank subsystem-fault hypotheses from ``events``, a
+        :meth:`scan` of ``targets``: the cross-series regression
+        fingerprint."""
+        with self.caliper.region("analysis:diagnose"):
+            return _diagnose(events, [t[2] for t in targets])
 
     # -- model fitting ---------------------------------------------------
     def model(self, benchmark: str, system: str, fom_name: str,
@@ -123,7 +122,7 @@ class AnalysisEngine:
         Returns ``None`` when the series has no measurements yet."""
         key = (benchmark, system, fom_name, x_key, bool(multi),
                bool(exclude_flaky))
-        with self.profiler.timer("analysis:model"):
+        with self.caliper.region("analysis:model"):
             partition = self.db.partition_rows(system, benchmark)
             entry = self._model_memo.get(key)
             if entry is not None:

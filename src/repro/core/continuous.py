@@ -10,8 +10,12 @@ these changes."
 health follows a :class:`~repro.systems.failures.FailureSchedule`, stores
 every FOM in the metrics database tagged with its epoch, and scans the
 accumulated history with a :class:`~repro.analysis.regression.RegressionDetector`.
-The regression-tracking bench injects a DIMM degradation mid-history and
-shows the loop localizing it in time.
+Each stage of an epoch is a region of the loop's own
+:class:`~repro.analysis.caliper.CaliperSession` (``epoch:setup``,
+``epoch:run``, ``epoch:analyze``, ``epoch:replay``, ``epoch:checkpoint``,
+and the engine's ``analysis:*`` regions); ``caliper.snapshot()`` reads
+the tree.  The regression-tracking bench injects a DIMM degradation
+mid-history and shows the loop localizing it in time.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.analysis.caliper import CaliperSession
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.regression import RegressionDetector, RegressionEvent
 from repro.ci import MetricsDatabase
-from repro.perf import ContentStore, Profiler, fingerprint
+from repro.perf import ContentStore, fingerprint
 from repro.resilience import (
     CircuitBreakerRegistry,
     FaultTolerantExecutor,
@@ -91,22 +96,23 @@ class ContinuousBenchmarking:
             result_cache if result_cache is not None
             else ContentStore("epoch-results")
         )
-        self.profiler = Profiler()
+        #: stage timings: one context tree whose size does not grow with
+        #: the number of epochs
+        self.caliper = CaliperSession()
         #: per-epoch resilience metadata: {epoch: {experiment: attempt info}}
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
         if resume and self.checkpoint_path.exists():
             self._load_checkpoint()
         #: incremental analysis over the accumulated history: per-series
         #: detector states read only each epoch's appends from the columnar
-        #: database, so the post-epoch regression scan is O(new) instead of
-        #: a full history rescan — with events bit-identical to the batch
-        #: path (the engine's contract).  Built after any checkpoint load so
-        #: it wraps the restored database.
+        #: database, so the post-epoch regression scan costs O(new) reads
+        #: instead of a full history rescan.  Built after any checkpoint
+        #: load so it wraps the restored database.
         self.analysis = AnalysisEngine(
             self.db,
             threshold=self.detector.threshold,
             window=self.detector.window,
-            profiler=self.profiler,
+            caliper=self.caliper,
         )
 
     @property
@@ -122,21 +128,22 @@ class ContinuousBenchmarking:
         """Persist campaign state so a killed loop resumes where it died.
         Written via a temp file + rename so a kill mid-write leaves the
         previous checkpoint intact."""
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "experiment": self.experiment,
-            "system": self.system_name,
-            "epochs_run": self.epochs_run,
-            "attempt_history": self.attempt_history,
-            "records": self.db.to_records(),
-            # additive key: older checkpoints (and readers) without it are
-            # still version-1 compatible
-            "result_cache": self.result_cache.snapshot(),
-        }
-        tmp = self.checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2))
-        tmp.replace(self.checkpoint_path)
+        with self.caliper.region("epoch:checkpoint"):
+            self.workdir.mkdir(parents=True, exist_ok=True)
+            payload = {
+                "version": CHECKPOINT_VERSION,
+                "experiment": self.experiment,
+                "system": self.system_name,
+                "epochs_run": self.epochs_run,
+                "attempt_history": self.attempt_history,
+                "records": self.db.to_records(),
+                # additive key: older checkpoints (and readers) without it
+                # are still version-1 compatible
+                "result_cache": self.result_cache.snapshot(),
+            }
+            tmp = self.checkpoint_path.with_suffix(".json.tmp")
+            tmp.write_text(json.dumps(payload, indent=2))
+            tmp.replace(self.checkpoint_path)
 
     def _load_checkpoint(self) -> None:
         try:
@@ -211,7 +218,7 @@ class ContinuousBenchmarking:
         """Serve one epoch from the result cache: identical inputs already
         produced these results, so ingest them directly — tagged with
         provenance — instead of re-running setup/run/analyze."""
-        with self.profiler.timer("epoch:replay"):
+        with self.caliper.region("epoch:replay"):
             results = copy.deepcopy(entry["results"])
             for exp in results["experiments"]:
                 variables = exp.setdefault("variables", {})
@@ -224,8 +231,8 @@ class ContinuousBenchmarking:
                     f"(fingerprint {key})"
                 )
             count = self.db.ingest_analysis(self.system_name, results)
-            self.epochs_run += 1
-            self._save_checkpoint()
+        self.epochs_run += 1
+        self._save_checkpoint()
         return count
 
     def run_epoch(self) -> int:
@@ -244,15 +251,15 @@ class ContinuousBenchmarking:
         entry = self.result_cache.get(key) if key is not None else None
         if entry is not None:
             return self._replay_epoch(epoch, key, entry)
-        with self.profiler.timer("epoch:setup"):
+        with self.caliper.region("epoch:setup"):
             session = benchpark_setup(
                 self.experiment, self.system_name,
                 self.workdir / f"epoch-{epoch}",
             )
             session.setup()
-        with self.profiler.timer("epoch:run"):
+        with self.caliper.region("epoch:run"):
             outcomes = session.run(executor=self._executor(system, epoch))
-        with self.profiler.timer("epoch:analyze"):
+        with self.caliper.region("epoch:analyze"):
             results = session.analyze()
         # Pristine copy for the cache *before* epoch tagging mutates the
         # payload — a later replay re-tags for its own epoch.
@@ -306,6 +313,13 @@ class ContinuousBenchmarking:
         return self
 
     # ------------------------------------------------------------------
+    def _targets(self) -> List[tuple]:
+        """(benchmark, system, fom, higher_is_better) per tracked FOM."""
+        return [(self.benchmark_name, self.system_name, fom_name,
+                 higher_is_better)
+                for fom_name, higher_is_better in TRACKED_FOMS.get(
+                    self.benchmark_name, [])]
+
     def regressions(self) -> List[RegressionEvent]:
         """Scan the accumulated history for every tracked FOM.
 
@@ -313,11 +327,7 @@ class ContinuousBenchmarking:
         samples recorded since its last scan, so the per-epoch cost stays
         O(new) as history grows.
         """
-        return self.analysis.scan([
-            (self.benchmark_name, self.system_name, fom_name, higher_is_better)
-            for fom_name, higher_is_better in TRACKED_FOMS.get(
-                self.benchmark_name, [])
-        ])
+        return self.analysis.scan(self._targets())
 
     def history(self, fom_name: str) -> List[tuple]:
         """(epoch, mean value) series for one FOM, retried samples included."""
@@ -327,10 +337,8 @@ class ContinuousBenchmarking:
     def diagnose(self) -> List:
         """Name the suspected failing subsystem(s) from the cross-FOM
         regression fingerprint (§1: 'diagnosing hardware failures')."""
-        from repro.analysis.diagnosis import diagnose
-
-        monitored = [f for f, _ in TRACKED_FOMS.get(self.benchmark_name, [])]
-        return diagnose(self.regressions(), monitored)
+        targets = self._targets()
+        return self.analysis.diagnose(targets, self.analysis.scan(targets))
 
     def report(self) -> str:
         lines = [
@@ -352,11 +360,12 @@ class ContinuousBenchmarking:
                 f"({self.db.flaky_count()} flaky sample(s) excluded from "
                 f"regression analysis)"
             )
-        events = self.regressions()
+        targets = self._targets()
+        events = self.analysis.scan(targets)
         if events:
             lines.append(f"{len(events)} regression(s) detected:")
             lines += [f"  {e}" for e in events]
-            for hypothesis in self.diagnose():
+            for hypothesis in self.analysis.diagnose(targets, events):
                 lines.append(f"  diagnosis: {hypothesis}")
         else:
             lines.append("no regressions detected")

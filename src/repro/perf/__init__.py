@@ -1,12 +1,14 @@
 """repro.perf — the incremental, content-addressed pipeline substrate.
 
-Three primitives shared by every layer of the reproduction:
+Two primitives shared by every layer of the reproduction:
 
 * :func:`fingerprint` — canonical content hashing of pipeline inputs
   (specs, configs, recipes, experiment definitions);
 * :class:`ContentStore` — a thread-safe content-addressed cache with
-  hit/miss statistics and checkpointable snapshots;
-* :class:`Profiler` — per-stage wall-time accounting.
+  hit/miss statistics and checkpointable snapshots.
+
+Stage timing is not here: the loop and the analysis engine record
+Caliper regions (:class:`repro.analysis.caliper.CaliperSession`).
 
 Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
 parallel DAG installs (:mod:`repro.spack.installer`), cached CI jobs
@@ -16,11 +18,9 @@ parallel DAG installs (:mod:`repro.spack.installer`), cached CI jobs
 
 from .content_store import ContentStore
 from .fingerprint import canonicalize, fingerprint, fingerprint_file, package_signature
-from .profiler import Profiler
 
 __all__ = [
     "ContentStore",
-    "Profiler",
     "canonicalize",
     "fingerprint",
     "fingerprint_file",

@@ -107,6 +107,29 @@ class TestCaliper:
         assert again.metadata["system"] == "cts1"
         assert again.regions()["a/b"].inclusive == pytest.approx(2.0)
 
+    def test_snapshot_reads_live_tree_without_reset(self):
+        clock = FakeClock()
+        s = CaliperSession(clock=clock)
+        with s.region("a"):
+            clock.tick(1.0)
+        s.begin("b")  # still open
+        clock.tick(5.0)
+        snap = s.snapshot()
+        assert snap.regions()["a"].inclusive == pytest.approx(1.0)
+        assert snap.regions()["b"].visits == 1
+        assert snap.regions()["b"].inclusive == 0.0
+        # a copy: later work does not change it, and the session carries on
+        with s.region("c"):
+            pass
+        assert "b/c" not in snap.regions()
+        s.end("b")
+        with s.region("a"):
+            clock.tick(2.0)
+        profile = s.flush()
+        assert profile.regions()["a"].visits == 2
+        assert profile.regions()["a"].inclusive == pytest.approx(3.0)
+        assert profile.regions()["b"].inclusive == pytest.approx(5.0)
+
     def test_global_session_region(self):
         from repro.analysis.caliper import global_session
 

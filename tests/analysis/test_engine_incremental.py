@@ -1,5 +1,6 @@
-"""Incremental regression state vs. batch recomputation — the equivalence
-is bit-identical (dataclass equality over float fields), not approximate."""
+"""Incremental regression state vs. the batch reference detector in
+``regression_oracle`` — the equivalence is bit-identical (dataclass
+equality over float fields), not approximate."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import RegressionDetector, SeriesState
 from repro.analysis.engine import AnalysisEngine
 from repro.ci import MetricsDatabase
+from tests.analysis import regression_oracle as oracle
 
 
 def _history(n_epochs=16, step_at=10, noise=0.03):
@@ -31,12 +33,8 @@ def _state(det, higher_is_better=None):
 
 def _batch(det, series, metric="m"):
     """The batch reference: group raw samples per epoch in sorted order,
-    then run the batch detector."""
-    by_epoch = {}
-    for epoch, value in sorted(series):
-        by_epoch.setdefault(epoch, []).append(value)
-    grouped = [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
-    return det.detect(grouped, metric)
+    then run the reference detector."""
+    return oracle.detect_like(det, oracle.epoch_means(series), metric)
 
 
 class TestBitIdentity:
@@ -77,7 +75,7 @@ class TestBitIdentity:
         for pair in series:
             state.extend([pair])
         events = state.events("walltime")
-        assert events == det.detect(series, "walltime")
+        assert events == oracle.detect_like(det, series, "walltime")
         assert len(events) == 1 and events[0].ratio > 1.0
 
     def test_short_series_reports_nothing(self):
@@ -99,11 +97,8 @@ class TestBitIdentity:
         state = _state(det)
         state.extend(series)
         assert state.events("m") == _batch(det, series)
-        by_epoch = {}
-        for e, v in sorted(series):
-            by_epoch.setdefault(e, []).append(v)
-        expected = [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
-        assert state.series() == expected
+        assert state.series() == oracle.epoch_means(series)
+        assert det.detect(series, "m") == state.events("m")
 
 
 class TestEngineScanParity:
@@ -128,16 +123,14 @@ class TestEngineScanParity:
     def test_scan_equals_batch_after_every_epoch(self):
         db = MetricsDatabase()
         engine = AnalysisEngine(db, threshold=0.10, window=3)
-        det = RegressionDetector(threshold=0.10, window=3)
-        det_lib = RegressionDetector(threshold=0.10, window=3,
-                                     higher_is_better=False)
         for epoch in range(14):
             self._record_epoch(db, epoch)
             got = engine.scan(self.TARGETS)
             expected = []
             for benchmark, system, fom, hib in self.TARGETS:
-                d = det if hib else det_lib
-                expected.extend(d.detect_in_db(db, benchmark, system, fom))
+                expected.extend(oracle.detect(
+                    db.epoch_series(benchmark, system, fom),
+                    f"{benchmark}/{system}/{fom}", 0.10, 3, hib))
             assert got == sorted(expected, key=lambda e: e.epoch)
         assert got  # the injected step was actually reported
 
@@ -158,8 +151,11 @@ class TestEngineScanParity:
         for epoch in range(8):
             self._record_epoch(db, epoch)
         engine.scan(self.TARGETS)
-        assert {"analysis:detect", "analysis:scan"} <= set(
-            engine.profiler.stages())
+        engine.scan(self.TARGETS)
+        regions = engine.caliper.snapshot().regions()
+        assert regions["analysis:scan"].visits == 2
+        assert regions["analysis:scan/analysis:detect"].visits == 2 * len(
+            self.TARGETS)
 
 
 class TestStateValidation:

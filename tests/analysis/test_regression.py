@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.regression import RegressionDetector, RegressionEvent
 from repro.ci import MetricsDatabase
+from tests.analysis import regression_oracle as oracle
 
 
 def series(values):
@@ -73,7 +74,7 @@ class TestDetector:
         assert "dropped 30.0%" in str(e)
         assert "epoch 5" in str(e)
 
-    def test_detect_in_db_averages_per_epoch(self):
+    def test_detect_over_db_epoch_series(self):
         db = MetricsDatabase()
         for epoch in range(8):
             value = 100.0 if epoch < 4 else 60.0
@@ -81,9 +82,43 @@ class TestDetector:
                 db.record("saxpy", "cts1", exp, "bandwidth",
                           value, "GB/s", {"epoch": str(epoch)})
         d = RegressionDetector(threshold=0.1, window=2)
-        events = d.detect_in_db(db, "saxpy", "cts1", "bandwidth")
+        events = d.detect(db.epoch_series("saxpy", "cts1", "bandwidth"),
+                          metric="saxpy/cts1/bandwidth")
         assert len(events) == 1
         assert events[0].metric == "saxpy/cts1/bandwidth"
+
+
+class TestDuplicateEpochs:
+    """Samples that share an epoch are one window position: ``detect`` on
+    raw samples equals ``detect`` on their per-epoch means."""
+
+    def test_step_with_uneven_samples_per_epoch(self):
+        # epoch 0 has three samples.  Counted as three positions they would
+        # form a baseline window of their own (a false 20% drop at epoch 1)
+        # and weigh epoch 0 three times in every later baseline.
+        raw = ([(0, 120.0)] * 3 + [(e, 96.0) for e in range(1, 6)]
+               + [(e, v) for e in range(6, 10) for v in (82.0, 78.0)])
+        d = RegressionDetector(threshold=0.15, window=2)
+        events = d.detect(raw, "bw")
+        assert events == d.detect(oracle.epoch_means(raw), "bw")
+        assert events == oracle.detect_like(d, oracle.epoch_means(raw), "bw")
+        assert [(e.epoch, e.baseline, e.observed) for e in events] == [
+            (6.0, 100.0, 80.0)]
+
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10),
+                  st.floats(min_value=1.0, max_value=200.0,
+                            allow_nan=False, allow_infinity=False)),
+        max_size=40),
+        st.integers(min_value=1, max_value=4),
+        st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_property_raw_equals_epoch_means(self, pairs, window, hib):
+        d = RegressionDetector(threshold=0.1, window=window,
+                               higher_is_better=hib)
+        means = oracle.epoch_means(pairs)
+        assert d.detect(pairs, "m") == d.detect(means, "m")
+        assert d.detect(pairs, "m") == oracle.detect_like(d, means, "m")
 
 
 @given(
@@ -125,8 +160,8 @@ class TestNonFiniteSamples:
     def _events(self, db):
         from repro.analysis.engine import AnalysisEngine
 
-        batch = RegressionDetector().detect_in_db(
-            db, "stream", "cts1", "triad_bw")
+        batch = oracle.detect(db.epoch_series("stream", "cts1", "triad_bw"),
+                              "stream/cts1/triad_bw")
         incremental = AnalysisEngine(db).scan(
             [("stream", "cts1", "triad_bw", True)])
         assert incremental == batch

@@ -57,6 +57,14 @@ class TestContinuousLoop:
         report = loop.report()
         assert "regression" in report
         assert "stream/openmp on cts1" in report
+        assert "diagnosis: memory fault suspected" in report
+        # one scan feeds both the event list and the diagnosis
+        regions = loop.caliper.snapshot().regions()
+        assert regions["analysis:scan"].visits == 1
+        assert regions["analysis:diagnose"].visits == 1
+        assert [str(h) for h in loop.diagnose()] == [
+            line.split("diagnosis: ", 1)[1]
+            for line in report.splitlines() if "diagnosis: " in line]
 
     def test_epoch_tag_in_manifest(self, tmp_path):
         loop = ContinuousBenchmarking("stream/openmp", "cts1", tmp_path)

@@ -40,8 +40,10 @@ class TestWarmCampaign:
         ).run(4)
         after = shared.stats()
         assert after["hits"] - before["hits"] == 4  # 100% warm hit rate
-        assert warm.profiler.count("epoch:replay") == 4
-        assert warm.profiler.count("epoch:run") == 0
+        regions = warm.caliper.snapshot().regions()
+        assert regions["epoch:replay"].visits == 4
+        assert regions["epoch:checkpoint"].visits == 4
+        assert "epoch:run" not in regions
 
         # correctness: caching is invisible in the data
         assert _series(cold) == _series(warm)
@@ -116,6 +118,42 @@ class TestWarmCampaign:
         assert structure(inc) == structure(plain)
 
 
+class TestTimingState:
+    @staticmethod
+    def _nodes(loop):
+        return sum(1 for _ in loop.caliper.snapshot().root.walk())
+
+    def _node_counts(self, loop):
+        """Region-node count after epoch 3 and after epoch 8, with a
+        regression scan and a report after every epoch."""
+        counts = []
+        for total in (3, 8):
+            while loop.epochs_run < total:
+                loop.run_epoch()
+                loop.regressions()
+                loop.report()
+            counts.append(self._nodes(loop))
+        return counts
+
+    def test_timing_state_does_not_grow_with_epochs(self, tmp_path):
+        shared = ContentStore("epoch-results")
+        cold = ContinuousBenchmarking(
+            EXPERIMENT, SYSTEM, tmp_path / "cold", result_cache=shared,
+        )
+        after_3, after_8 = self._node_counts(cold)
+        assert after_3 == after_8
+        warm = ContinuousBenchmarking(
+            EXPERIMENT, SYSTEM, tmp_path / "warm", result_cache=shared,
+        )
+        after_3, after_8 = self._node_counts(warm)
+        assert after_3 == after_8
+        regions = warm.caliper.snapshot().regions()
+        assert regions["epoch:replay"].visits == 8
+        assert regions["epoch:checkpoint"].visits == 8
+        # one scan per regressions() call and one per report()
+        assert regions["analysis:scan"].visits == 16
+
+
 class TestFlakyEpochs:
     def _flaky_loop(self, workdir, result_cache):
         return ContinuousBenchmarking(
@@ -186,4 +224,4 @@ class TestCheckpointCumulativeStats:
         resumed.run_until(5)
         stats = resumed.result_cache.stats()
         assert stats["hits"] == 5  # 2 before the kill + 3 after
-        assert resumed.profiler.count("epoch:replay") == 3
+        assert resumed.caliper.snapshot().regions()["epoch:replay"].visits == 3

@@ -369,13 +369,14 @@ class TestFlakyExclusion:
     def test_detector_excludes_flaky_by_default(self):
         db = self._db_with_flaky_dip()
         detector = RegressionDetector(threshold=0.10, window=2)
-        assert detector.detect_in_db(db, "stream", "cts1", "triad_bw") == []
+        assert detector.detect(
+            db.epoch_series("stream", "cts1", "triad_bw")) == []
 
     def test_detector_would_false_flag_without_exclusion(self):
         db = self._db_with_flaky_dip()
         detector = RegressionDetector(threshold=0.10, window=2)
-        events = detector.detect_in_db(db, "stream", "cts1", "triad_bw",
-                                       exclude_flaky=False)
+        events = detector.detect(db.epoch_series(
+            "stream", "cts1", "triad_bw", exclude_flaky=False))
         assert events, "the flaky dip must look like a regression when included"
 
 
