@@ -5,12 +5,12 @@ Per epoch the analysis stack answers three questions: which series
 regressed, how do the scaling series model, and what does the dashboard
 look like now.  The **cold** pass answers them from scratch with a fresh
 :class:`~repro.analysis.engine.AnalysisEngine` every epoch — every series
-is fed from its first sample and every Extra-P model is refit (model cache
-cleared).  The **warm** pass answers them through one persistent engine:
-per-series regression state fed only new samples, and memoized model
-fits.  Both passes run the same code and render the dashboard with
-``render_report`` over the same columnar database; each records its
-stages as Caliper regions (``analysis:*``).
+is fed from its first sample and every Extra-P model is refit.  The
+**warm** pass answers them through one persistent engine: per-series
+regression state fed only new samples, and a per-series model memo that
+refits only series an epoch extended.  Both passes run the same code and
+render the dashboard with ``render_report`` over the same columnar
+database; each records its stages as Caliper regions (``analysis:*``).
 
 Correctness is asserted, not assumed: final regression events, Extra-P
 model strings, and the stored records must be identical between passes —
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import CaliperSession, clear_model_cache, render_report
+from repro.analysis import CaliperSession, render_report
 from repro.analysis.engine import AnalysisEngine
 from repro.ci import MetricsDatabase
 
@@ -106,7 +106,6 @@ def run_cold(epoch_records, targets, caliper: CaliperSession):
     events = models = None
     for records in epoch_records:
         _ingest(db, records)
-        clear_model_cache()  # the non-incremental world refits
         engine = AnalysisEngine(db, threshold=THRESHOLD, window=WINDOW,
                                 caliper=caliper)
         events, models = _analyze(engine, db, targets)
@@ -131,14 +130,12 @@ def bench(epochs: int, systems, benchmarks) -> dict:
                      for e in range(epochs)]
 
     cold_caliper = CaliperSession()
-    clear_model_cache()
     t0 = time.perf_counter()
     cold_db, cold_events, cold_models = run_cold(
         epoch_records, targets, cold_caliper)
     cold_s = time.perf_counter() - t0
 
     warm_caliper = CaliperSession()
-    clear_model_cache()
     t0 = time.perf_counter()
     warm_db, warm_events, warm_models = run_warm(
         epoch_records, targets, warm_caliper)
@@ -151,7 +148,6 @@ def bench(epochs: int, systems, benchmarks) -> dict:
         "memoized Extra-P model strings diverged from fresh fits"
     assert cold_db.to_records() == warm_db.to_records()
 
-    from repro.analysis.extrap import model_cache
     return {
         "epochs": epochs,
         "series_tracked": len(targets),
@@ -162,8 +158,6 @@ def bench(epochs: int, systems, benchmarks) -> dict:
         "speedup": cold_s / warm_s if warm_s else float("inf"),
         "events_identical": True,
         "models_identical": True,
-        "model_cache": {k: v for k, v in model_cache().stats().items()
-                        if k in ("hits", "misses", "hit_rate")},
         "profiler_cold": cold_caliper.snapshot().to_dict(),
         "profiler_warm": warm_caliper.snapshot().to_dict(),
         "_profiles": (cold_caliper.snapshot(), warm_caliper.snapshot()),

@@ -11,10 +11,8 @@ from .extrap import (
     Measurement,
     MultiTermModel,
     PerformanceModel,
-    clear_model_cache,
     fit_model,
     fit_multi_term_model,
-    model_cache,
 )
 from .regression import RegressionDetector, RegressionEvent
 from .scaling import ScalingPoint, classify_scaling, strong_scaling, weak_scaling
@@ -24,8 +22,6 @@ __all__ = [
     "AnalysisEngine",
     "CaliperSession",
     "SeriesState",
-    "clear_model_cache",
-    "model_cache",
     "DEFAULT_EXPONENTS",
     "Ensemble",
     "FOM_SUBSYSTEMS",

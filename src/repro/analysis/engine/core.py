@@ -1,4 +1,4 @@
-"""The analysis engine: incremental detectors + cached model fits over the
+"""The analysis engine: incremental detectors + memoized model fits over the
 columnar :class:`~repro.ci.metricsdb.MetricsDatabase`, behind one object.
 
 One :class:`AnalysisEngine` wraps a database and keeps every derived
@@ -9,8 +9,8 @@ analysis artifact warm between epochs:
   scans stop rescanning history;
 * :meth:`scan` runs that over many (benchmark, system, fom) series and
   :meth:`diagnose` ranks fault hypotheses from a scan's events;
-* :meth:`model` fits Extra-P over a database series through the memoized
-  :func:`fit_model`/:func:`fit_multi_term_model` — unchanged series hit.
+* :meth:`model` fits Extra-P over a database scaling series and memoizes
+  the fit per series — a series no new sample extended is not refit.
 
 Every stage is a region of a :class:`~repro.analysis.caliper.CaliperSession`
 (``analysis:scan`` > ``analysis:detect``, ``analysis:diagnose``,
@@ -20,12 +20,12 @@ Every stage is a region of a :class:`~repro.analysis.caliper.CaliperSession`
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..caliper import CaliperSession
 from ..diagnosis import diagnose as _diagnose
-from ..extrap import (MultiTermModel, _copy_multi, _copy_single, fit_model,
-                      fit_multi_term_model)
+from ..extrap import PerformanceModel, fit_model
 from ..regression import RegressionEvent, SeriesState
 
 __all__ = ["AnalysisEngine"]
@@ -34,11 +34,10 @@ __all__ = ["AnalysisEngine"]
 Target = Tuple[str, str, str, bool]
 
 
-def _copy_model(model):
-    """Defensive copy on memo hits so callers can't poison the entry."""
-    if isinstance(model, MultiTermModel):
-        return _copy_multi(model)
-    return _copy_single(model)
+def _copy_model(model: PerformanceModel) -> PerformanceModel:
+    """Defensive copy in and out of the memo so callers mutating a returned
+    model can't poison the entry."""
+    return replace(model, measurements=list(model.measurements))
 
 
 class AnalysisEngine:
@@ -55,8 +54,9 @@ class AnalysisEngine:
         #: Target -> SeriesState, and how many partition rows it has seen
         self._states: Dict[Target, SeriesState] = {}
         self._consumed: Dict[Target, int] = {}
-        #: model args -> (partition rows consumed, fitted model)
-        self._model_memo: Dict[tuple, Any] = {}
+        #: (benchmark, system, fom) -> (partition rows consumed, model)
+        self._model_memo: Dict[Tuple[str, str, str],
+                               Tuple[int, PerformanceModel]] = {}
 
     # -- regression detection -------------------------------------------
     def _state(self, target: Target) -> SeriesState:
@@ -109,36 +109,33 @@ class AnalysisEngine:
             return _diagnose(events, [t[2] for t in targets])
 
     # -- model fitting ---------------------------------------------------
-    def model(self, benchmark: str, system: str, fom_name: str,
-              x_key: str = "nprocs", multi: bool = False,
-              exclude_flaky: bool = True):
-        """Extra-P model of a database series, memoized twice over:
-        per-series consumption tracking (like :meth:`detect`'s) answers "did
-        any new partition row extend *this* series?" in O(new rows) and
-        returns the last model untouched when none did; actual refits go
-        through the process-global fingerprint-keyed cache shared with
-        :func:`fit_model`.
+    def model(self, benchmark: str, system: str,
+              fom_name: str) -> Optional[PerformanceModel]:
+        """Single-term Extra-P model of a series over its ``nprocs``
+        manifest key, flaky samples left out.  Memoized per series:
+        consumption tracking (like :meth:`detect`'s) answers "did any new
+        partition row extend *this* series?" in O(new rows) and returns a
+        copy of the last model when none did; otherwise :func:`fit_model`
+        refits.
 
         Returns ``None`` when the series has no measurements yet."""
-        key = (benchmark, system, fom_name, x_key, bool(multi),
-               bool(exclude_flaky))
+        key = (benchmark, system, fom_name)
         with self.caliper.region("analysis:model"):
             partition = self.db.partition_rows(system, benchmark)
             entry = self._model_memo.get(key)
             if entry is not None:
                 consumed, cached = entry
                 if consumed == partition.size or not self.db.series_rows(
-                    benchmark, system, fom_name, x_key,
-                    exclude_flaky=exclude_flaky, start=consumed,
+                    benchmark, system, fom_name, "nprocs",
+                    exclude_flaky=True, start=consumed,
                 ).size:
                     self._model_memo[key] = (int(partition.size), cached)
                     return _copy_model(cached)
-            pairs = self.db.series(benchmark, system, fom_name, x_key,
-                                   exclude_flaky=exclude_flaky)
+            pairs = self.db.series(benchmark, system, fom_name, "nprocs",
+                                   exclude_flaky=True)
             if not pairs:
                 return None
-            fitted = (fit_multi_term_model(pairs) if multi
-                      else fit_model(pairs))
+            fitted = fit_model(pairs)
             self._model_memo[key] = (int(partition.size), _copy_model(fitted))
             return fitted
 

@@ -18,16 +18,13 @@ model-selection strategy of Calotoiu et al.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf import ContentStore, fingerprint
-
 __all__ = ["Measurement", "MultiTermModel", "PerformanceModel",
-           "DEFAULT_EXPONENTS", "fit_model", "fit_multi_term_model",
-           "model_cache", "clear_model_cache"]
+           "DEFAULT_EXPONENTS", "fit_model", "fit_multi_term_model"]
 
 #: Extra-P's default search space.
 DEFAULT_EXPONENTS: Tuple[Tuple[float, int], ...] = tuple(
@@ -131,30 +128,6 @@ def _fit_column(ps: np.ndarray, ys: np.ndarray, term: np.ndarray
     return c0, c1
 
 
-#: memo of fitted models keyed by measurement fingerprint — continuous
-#: analysis refits the same series many times (dashboard render, diagnosis
-#: pass, CI summary) and between epochs that didn't extend the series
-_MODEL_CACHE = ContentStore("extrap-models")
-
-
-def model_cache() -> ContentStore:
-    """The process-global fit memo (hit/miss accounting for benches)."""
-    return _MODEL_CACHE
-
-
-def clear_model_cache() -> None:
-    _MODEL_CACHE.clear()
-
-
-def _cache_key(kind: str, measurements, exponents, extra=0) -> str:
-    return fingerprint([
-        kind,
-        [[m.p, m.value] for m in measurements],
-        [[i, j] for i, j in exponents],
-        extra,
-    ])
-
-
 def _as_measurements(
     measurements: Sequence[Measurement] | Sequence[Tuple[float, float]],
 ) -> List[Measurement]:
@@ -162,17 +135,6 @@ def _as_measurements(
         m if isinstance(m, Measurement) else Measurement(float(m[0]), float(m[1]))
         for m in measurements
     ]
-
-
-def _copy_single(model: PerformanceModel) -> PerformanceModel:
-    """Defensive copy so callers mutating a returned model (tests do) never
-    poison the cache entry."""
-    return replace(model, measurements=list(model.measurements))
-
-
-def _copy_multi(model: "MultiTermModel") -> "MultiTermModel":
-    return replace(model, terms=list(model.terms),
-                   measurements=list(model.measurements))
 
 
 def fit_model(
@@ -187,17 +149,11 @@ def fit_model(
     than an error, so continuous pipelines fitting whatever history exists
     never fall over on a short series.
 
-    Fits are memoized by measurement fingerprint (pure function of the
-    inputs), so re-fitting an unchanged series is a cache lookup.
+    A pure function of its inputs that returns a fresh fit on every call;
+    :meth:`repro.analysis.engine.AnalysisEngine.model` memoizes fits per
+    database series.
     """
-    ms = _as_measurements(measurements)
-    key = _cache_key("single", ms, exponents)
-    cached = _MODEL_CACHE.get(key)
-    if cached is not None:
-        return _copy_single(cached)
-    model = _fit(ms, exponents)
-    _MODEL_CACHE.put(key, model)
-    return _copy_single(model)
+    return _fit(measurements, exponents)
 
 
 def fit_multi_term_model(
@@ -209,17 +165,10 @@ def fit_multi_term_model(
     n > 1 case): exhaustive joint least squares over exponent pairs, with an
     occam rule — the two-term hypothesis wins only when it improves SMAPE by
     a clear margin, which is how Extra-P avoids overfitting small
-    measurement sets.  Memoized like :func:`fit_model`."""
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    ms = _as_measurements(measurements)
-    key = _cache_key("multi", ms, exponents, max_terms)
-    cached = _MODEL_CACHE.get(key)
-    if cached is not None:
-        return _copy_multi(cached)
-    model = _fit_multi(ms, max_terms, exponents)
-    _MODEL_CACHE.put(key, model)
-    return _copy_multi(model)
+    measurement sets.  Pure, like :func:`fit_model`."""
+    if max_terms not in (1, 2):
+        raise ValueError(f"max_terms must be 1 or 2, got {max_terms}")
+    return _fit_multi(_as_measurements(measurements), max_terms, exponents)
 
 
 def _fit_multi(

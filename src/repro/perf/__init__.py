@@ -4,8 +4,9 @@ Two primitives shared by every layer of the reproduction:
 
 * :func:`fingerprint` — canonical content hashing of pipeline inputs
   (specs, configs, recipes, experiment definitions);
-* :class:`ContentStore` — a thread-safe content-addressed cache with
-  hit/miss statistics and checkpointable snapshots.
+* :class:`ContentStore` — a thread-safe, in-memory content-addressed cache
+  with hit/miss statistics; its snapshots ride in campaign checkpoints,
+  the only route from a store to disk.
 
 Stage timing is not here: the loop and the analysis engine record
 Caliper regions (:class:`repro.analysis.caliper.CaliperSession`).

@@ -6,18 +6,16 @@ reuse, epoch-level result replay) shares this one primitive: a map from
 statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 
 The store is thread-safe (the parallel installer and batch executor probe it
-concurrently), optionally disk-backed, and snapshot/restorable so campaign
+concurrently) and in-memory only.  It is snapshot/restorable so campaign
 checkpoints can carry both the cached entries *and* the cumulative counters
 across a kill/resume — a resumed campaign reports lifetime hit rates, not
-per-resume ones.
+per-resume ones.  The checkpoint is the only way a store reaches disk.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["ContentStore"]
 
@@ -25,11 +23,10 @@ _STAT_KEYS = ("hits", "misses", "puts")
 
 
 class ContentStore:
-    """In-memory (optionally disk-persisted) content-addressed cache."""
+    """In-memory content-addressed cache."""
 
-    def __init__(self, name: str = "store", path: Optional[Path | str] = None):
+    def __init__(self, name: str = "store"):
         self.name = name
-        self.path = Path(path) if path is not None else None
         self._entries: Dict[str, Any] = {}
         self._lock = threading.RLock()
         self.hits = 0
@@ -37,8 +34,6 @@ class ContentStore:
         self.puts = 0
         #: counters carried over from a prior life (checkpoint resume)
         self._baseline = {k: 0 for k in _STAT_KEYS}
-        if self.path is not None and self.path.exists():
-            self._entries = json.loads(self.path.read_text()).get("entries", {})
 
     # -- core map interface -------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
@@ -59,8 +54,6 @@ class ContentStore:
         with self._lock:
             self._entries[key] = value
             self.puts += 1
-            if self.path is not None:
-                self._persist()
             return value
 
     def __contains__(self, key: str) -> bool:
@@ -76,8 +69,6 @@ class ContentStore:
             self._entries.clear()
             self.hits = self.misses = self.puts = 0
             self._baseline = {k: 0 for k in _STAT_KEYS}
-            if self.path is not None:
-                self._persist()
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -117,18 +108,7 @@ class ContentStore:
             prior = snapshot.get("stats", {})
             for k in _STAT_KEYS:
                 self._baseline[k] += int(prior.get(k, 0))
-            if self.path is not None:
-                self._persist()
         return self
-
-    # -- disk persistence -----------------------------------------------------
-    def _persist(self) -> None:
-        """Atomic write (tmp + rename) so a kill mid-write keeps the old file."""
-        assert self.path is not None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps({"entries": self._entries}, sort_keys=True))
-        tmp.replace(self.path)
 
     def __repr__(self):
         s = self.stats()

@@ -100,7 +100,6 @@ class Concretizer:
         default_target: str = "x86_64",
         default_platform: str = "linux",
         reuse_store=None,
-        memoize: bool = True,
         memo: Optional[ContentStore] = None,
     ):
         self.config = config or Configuration()
@@ -111,11 +110,9 @@ class Concretizer:
         #: a Store to reuse installed specs from (``spack install --reuse``);
         #: None solves everything fresh
         self.reuse_store = reuse_store
-        #: completed-solve memo; ``memo`` overrides the process-wide default,
-        #: ``memoize=False`` disables caching entirely
-        self.memo: Optional[ContentStore] = (
-            (memo if memo is not None else _GLOBAL_MEMO) if memoize else None
-        )
+        #: completed-solve memo; ``memo`` overrides the process-wide default
+        #: (pass a fresh ContentStore for an uncached solve)
+        self.memo: ContentStore = memo if memo is not None else _GLOBAL_MEMO
 
     # ------------------------------------------------------------------
     # public API
@@ -175,7 +172,7 @@ class Concretizer:
         """Content fingerprint of every solver input, or None when this
         solve cannot be memoized (a reuse store's contents are mutable and
         are not part of the fingerprint)."""
-        if self.memo is None or self.reuse_store is not None:
+        if self.reuse_store is not None:
             return None
         return fingerprint({
             "specs": [

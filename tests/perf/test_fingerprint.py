@@ -9,7 +9,6 @@ from repro.perf import (
     package_signature,
 )
 from repro.spack import Concretizer
-from repro.spack.concretizer import clear_concretization_memo
 from repro.spack.repository import builtin_repo
 
 
@@ -47,8 +46,7 @@ class TestFingerprint:
         assert fingerprint_file(missing) == {"__path__": str(missing)}
 
     def test_concrete_spec_fingerprints(self):
-        clear_concretization_memo()
-        c = Concretizer(memoize=False)
+        c = Concretizer(memo=ContentStore("solves"))
         s1 = c.concretize("saxpy+openmp")
         s2 = c.concretize("saxpy+openmp")
         s3 = c.concretize("saxpy~openmp")
@@ -105,12 +103,6 @@ class TestContentStore:
         assert (s["hits"], s["misses"], s["puts"]) == (1, 1, 1)
         second.get("k")
         assert second.stats()["hits"] == 2  # cumulative across lives
-
-    def test_disk_persistence(self, tmp_path):
-        path = tmp_path / "cache.json"
-        ContentStore("t", path=path).put("k", [1, 2])
-        reopened = ContentStore("t", path=path)
-        assert reopened.peek("k") == [1, 2]
 
     def test_snapshot_roundtrips_through_json(self):
         import json

@@ -3,13 +3,14 @@ and determinism."""
 
 import pytest
 
+from repro.perf import ContentStore
 from repro.spack import Concretizer, Installer, Store
 from repro.spack.installer import topological_levels
 
 
 @pytest.fixture()
 def amg_root():
-    return Concretizer(memoize=False).concretize("amg2023+caliper")
+    return Concretizer(memo=ContentStore("solves")).concretize("amg2023+caliper")
 
 
 class TestTopologicalLevels:

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from repro.perf import ContentStore
 from repro.spack.concretizer import ConcretizationError, Concretizer
 from repro.spack.package import Package
 from repro.spack.parser import parse_spec
@@ -45,7 +46,8 @@ def _repo_with_runaway_root():
 class TestFixpointDiagnostics:
     def test_runaway_conditional_deps_raise_named_error(self):
         concretizer = Concretizer(
-            repo_path=RepoPath(_repo_with_runaway_root()), memoize=False,
+            repo_path=RepoPath(_repo_with_runaway_root()),
+            memo=ContentStore("solves"),
         )
         with pytest.raises(ConcretizationError) as exc_info:
             concretizer.concretize("runaway")
@@ -76,5 +78,6 @@ class TestFixpointDiagnostics:
             "type": ("build", "link"),
         }]
         repo.register(App)
-        solved = Concretizer(repo_path=RepoPath(repo), memoize=False).concretize("app")
+        solved = Concretizer(repo_path=RepoPath(repo),
+                             memo=ContentStore("solves")).concretize("app")
         assert "dep" in solved.dependencies
