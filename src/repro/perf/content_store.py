@@ -5,8 +5,9 @@ reuse, epoch-level result replay) shares this one primitive: a map from
 :func:`repro.perf.fingerprint` digests to previously computed results, with
 statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 
-The store is thread-safe (the parallel installer and batch executor probe it
-concurrently) and in-memory only.  It is snapshot/restorable so campaign
+The store is in-memory only.  Nothing in the pipeline probes one from two
+threads, but a store is a public object that callers may share, so its
+methods take a lock.  It is snapshot/restorable so campaign
 checkpoints can carry both the cached entries *and* the cumulative counters
 across a kill/resume — a resumed campaign reports lifetime hit rates, not
 per-resume ones.  The checkpoint is the only way a store reaches disk.

@@ -9,17 +9,22 @@ benches need:
   makespan with unlimited build parallelism,
 * makespan under ``k`` parallel build jobs (list scheduling), which powers
   the build-parallelism ablation.
+
+``networkx`` is imported by the functions that use it, not at module
+level: importing ``repro.spack`` (and so every campaign) does not pay for
+it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .installer import _BUILD_COST, _DEFAULT_COST
 from .spec import Spec, SpecError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "spec_to_graph",
@@ -39,6 +44,8 @@ def _node_cost(spec: Spec) -> float:
 def spec_to_graph(spec: Spec) -> "nx.DiGraph":
     """DiGraph with an edge dep → dependent (build direction), node attrs
     ``spec`` and ``cost`` (simulated build seconds)."""
+    import networkx as nx
+
     if not spec.concrete:
         raise SpecError(f"graph analysis requires a concrete spec, got {spec}")
     g = nx.DiGraph()
@@ -55,12 +62,16 @@ def spec_to_graph(spec: Spec) -> "nx.DiGraph":
 def build_order(spec: Spec) -> List[str]:
     """A valid installation order (dependencies before dependents),
     deterministic (lexicographic tie-break)."""
+    import networkx as nx
+
     g = spec_to_graph(spec)
     return list(nx.lexicographical_topological_sort(g))
 
 
 def critical_path(spec: Spec) -> Tuple[List[str], float]:
     """The longest cost-weighted chain: (package names, total seconds)."""
+    import networkx as nx
+
     g = spec_to_graph(spec)
     dist: Dict[str, float] = {}
     parent: Dict[str, Optional[str]] = {}
@@ -112,6 +123,8 @@ def parallel_makespan(spec: Spec, workers: int) -> float:
 
 def graph_stats(spec: Spec) -> Dict[str, float]:
     """Summary statistics of a build DAG."""
+    import networkx as nx
+
     g = spec_to_graph(spec)
     _, cp = critical_path(spec)
     total = sum(g.nodes[n]["cost"] for n in g.nodes)

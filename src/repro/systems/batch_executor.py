@@ -14,7 +14,7 @@ queueing effects are first-class results.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from typing import Any, Dict, List
 
 from .descriptor import SystemDescriptor
@@ -37,44 +37,31 @@ class BatchExecutor:
     """
 
     def __init__(self, system: SystemDescriptor, policy: str = "backfill",
-                 epoch: int = 0, injector=None,
-                 retry_policy=None, breakers=None,
-                 runner_tag: str = "batch", max_workers: int = 4):
+                 executor=None):
         self.system = system
         self.scheduler = BatchScheduler(system, policy=policy)
-        self.inner = SystemExecutor(system, epoch=epoch)
-        #: a fault-tolerant inner executor carries shared mutable state
-        #: (injector RNG, circuit breakers) whose behaviour depends on call
-        #: order — those campaigns stay serial to keep runs reproducible
-        self._resilient = (
-            injector is not None or retry_policy is not None
-            or breakers is not None
-        )
-        if self._resilient:
-            from repro.resilience import FaultTolerantExecutor
-
-            self.inner = FaultTolerantExecutor(
-                self.inner, injector=injector, policy=retry_policy,
-                breakers=breakers, runner_tag=runner_tag,
-            )
-        self.max_workers = max(int(max_workers), 1)
+        #: runs each job's benchmark once the queue has placed it; pass a
+        #: ``FaultTolerantExecutor`` to have faulted jobs retried
+        self.inner = executor if executor is not None else SystemExecutor(system)
         self._queued: List[tuple] = []
 
     # -- duration estimation ------------------------------------------------
+    @staticmethod
+    def _number(experiment, name: str, default: float) -> float:
+        """A numeric experiment variable; unparsable or non-finite values
+        (``ramble.yaml`` is outside input) fall back to ``default``."""
+        try:
+            value = float(experiment.variables.get(name, default))
+        except ValueError:
+            return default
+        return value if math.isfinite(value) else default
+
     def _estimate_duration(self, experiment) -> float:
         """Rough runtime estimate for the scheduler (like a user's -t)."""
-        batch_time = experiment.variables.get("batch_time", "30")
-        try:
-            minutes = float(batch_time)
-        except ValueError:
-            minutes = 30.0
-        return max(minutes * 60.0, 1.0)
+        return max(self._number(experiment, "batch_time", 30.0) * 60.0, 1.0)
 
     def _nodes_of(self, experiment) -> int:
-        try:
-            return max(int(float(experiment.variables.get("n_nodes", 1))), 1)
-        except ValueError:
-            return 1
+        return max(int(self._number(experiment, "n_nodes", 1.0)), 1)
 
     # -- Workspace.run interface ----------------------------------------------
     def execute(self, experiment) -> Dict[str, Any]:
@@ -101,21 +88,9 @@ class BatchExecutor:
         if not self._queued:
             return []
         self.scheduler.run_until_complete()
-        # Independent experiments execute concurrently — a pure
-        # SystemExecutor derives each outcome from (experiment, epoch)
-        # alone, so fan-out cannot change any result, only the wall clock.
-        # Scheduler bookkeeping and log writes below stay serial, in
-        # submission order, so outcome ordering is deterministic either way.
-        if not self._resilient and len(self._queued) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.max_workers, len(self._queued))
-            ) as pool:
-                results = list(
-                    pool.map(self.inner.execute,
-                             [e for e, _ in self._queued])
-                )
-        else:
-            results = [self.inner.execute(e) for e, _ in self._queued]
+        # One benchmark at a time, in submission order: each run is timed
+        # for real, so runs side by side would measure each other.
+        results = [self.inner.execute(e) for e, _ in self._queued]
         outcomes = []
         for (experiment, job), result in zip(self._queued, results):
             # Transient faults (a fault-tolerant inner executor reports

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -80,8 +81,11 @@ class BatchScheduler:
                 f"job {job.name!r} requests {job.nodes} nodes but "
                 f"{self.system.name} has {self.system.nodes}"
             )
-        if job.duration <= 0:
-            raise SchedulerError(f"job {job.name!r}: duration must be positive")
+        if not (math.isfinite(job.duration) and job.duration > 0):
+            raise SchedulerError(
+                f"job {job.name!r}: duration must be positive and finite, "
+                f"got {job.duration}"
+            )
         job.job_id = next(self._ids)
         job.submit_time = max(job.submit_time, self.now)
         self.queue.append(job)
