@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -373,32 +373,40 @@ class MetricsDatabase:
         return {names[c]: int(counts[c]) for c in order}
 
     # -- persistence -----------------------------------------------------------
-    def to_records(self) -> List[Dict[str, Any]]:
-        """JSON-serializable record list (checkpoint embedding)."""
-        dims = [self._labels_of(d, self.column(d)) for d in _DIMENSIONS]
+    def to_records(self, start: int = 0) -> List[Dict[str, Any]]:
+        """JSON-serializable record list of the rows from ``start`` on —
+        a caller that remembers ``len(db)`` gets exactly the rows appended
+        since, at a cost that does not grow with the history."""
+        dims = [self._labels_of(d, self.column(d)[start:]) for d in _DIMENSIONS]
         return [
             {"seq": seq, "benchmark": b, "system": s, "experiment": e,
              "fom_name": f, "value": v, "units": u, "manifest": dict(m)}
             for seq, b, s, e, f, v, u, m in zip(
-                self._seqs, *dims, self._values, self._units, self._manifests)
+                self._seqs[start:], *dims, self._values[start:],
+                self._units[start:], self._manifests[start:])
         ]
 
-    @classmethod
-    def from_records(cls, records: List[Dict[str, Any]]) -> "MetricsDatabase":
-        """Rebuild a database from :meth:`to_records` output.
+    def extend(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Append stored rows in :meth:`to_records` form.
 
-        Original sequence numbers are preserved: a dump/load round trip is
-        the identity, not a re-numbering.
+        Each row keeps its ``seq`` (a row without one gets the next
+        number), and later records continue after the largest, so a
+        dump/load round trip is the identity, not a re-numbering.
         """
-        db = cls()
         max_seq = 0
         for d in records:
-            seq = int(d["seq"]) if d.get("seq") is not None else next(db._seq)
+            seq = int(d["seq"]) if d.get("seq") is not None else next(self._seq)
             max_seq = max(max_seq, seq)
-            db._append(seq, d["benchmark"], d["system"], d["experiment"],
-                       d["fom_name"], d["value"], d.get("units", ""),
-                       dict(d.get("manifest") or {}))
-        db._seq = itertools.count(max_seq + 1)
+            self._append(seq, d["benchmark"], d["system"], d["experiment"],
+                         d["fom_name"], d["value"], d.get("units", ""),
+                         dict(d.get("manifest") or {}))
+        self._seq = itertools.count(max(max_seq + 1, next(self._seq)))
+
+    @classmethod
+    def from_records(cls, records: Iterable[Dict[str, Any]]) -> "MetricsDatabase":
+        """Rebuild a database from :meth:`to_records` output."""
+        db = cls()
+        db.extend(records)
         return db
 
     def dump(self, path: Path | str) -> None:

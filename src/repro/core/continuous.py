@@ -12,18 +12,46 @@ every FOM in the metrics database tagged with its epoch, and scans the
 accumulated history with a :class:`~repro.analysis.regression.RegressionDetector`.
 Each stage of an epoch is a region of the loop's own
 :class:`~repro.analysis.caliper.CaliperSession` (``epoch:setup``,
-``epoch:run``, ``epoch:analyze``, ``epoch:replay``, ``epoch:checkpoint``,
-and the engine's ``analysis:*`` regions); ``caliper.snapshot()`` reads
-the tree.  The regression-tracking bench injects a DIMM degradation
-mid-history and shows the loop localizing it in time.
+``epoch:run``, ``epoch:analyze``, ``epoch:ingest``, ``epoch:replay``,
+``epoch:checkpoint``, and the engine's ``analysis:*`` regions);
+``caliper.snapshot()`` reads the tree.  The regression-tracking bench
+injects a DIMM degradation mid-history and shows the loop localizing it in
+time.
+
+Campaign state lives in an append-only journal, ``<workdir>/campaign.journal``,
+in JSON Lines; this module is the only one that knows its format.  Line 1
+is a header, ``{"version", "experiment", "system"}``, written once.  Each
+completed epoch then appends one compact line, in one write::
+
+    {"epochs_run": N,                   # epochs done after this one
+     "runs": [{"benchmark", "experiment", "manifest",
+               "foms": [[seq, name, value, units], ...]}, ...],
+     "attempts": {experiment: info} | null,  # attempt_history[N-1]
+     "cache": {"hits", "misses", "puts"},    # cumulative result-cache counters
+     "key": fingerprint | null,         # set when this epoch's runs were cached
+     "entries": {fingerprint: entry}}   # cache entries not yet in the journal
+
+A run is a group of consecutive rows that share a benchmark, an experiment
+and an equal manifest, so a manifest is stored once per run, not once per
+FOM.  A result-cache entry is ``{"runs": runs, "epoch": K}``: the same runs
+object as epoch K's line, held by reference, so an epoch cached here costs
+the journal nothing beyond its ``key``.  Entries that another campaign put
+into a shared store are written in full, once, in ``entries``.
+
+Each epoch is written once, so the journal's cost per epoch does not grow
+with the history.  As with a temp-file-and-rename, a killed process loses
+at most the epoch it was writing, and nothing is fsynced, so power loss is
+not covered.  On resume, a last line with no newline, or one that does not
+parse, is a torn write: the file is truncated back to the line before it
+and that epoch runs again.  A torn header means no epoch completed, and the
+campaign starts fresh.  Damage anywhere else raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis.caliper import CaliperSession
 from repro.analysis.engine import AnalysisEngine
@@ -43,8 +71,12 @@ from .driver import benchpark_setup
 
 __all__ = ["ContinuousBenchmarking"]
 
-#: checkpoint schema version, bumped on incompatible layout changes
-CHECKPOINT_VERSION = 1
+#: journal format version, bumped on incompatible layout changes; version 1
+#: was a whole-history checkpoint file
+JOURNAL_VERSION = 2
+
+#: the compact JSON encoding of a journal line
+_COMPACT = (",", ":")
 
 #: FOMs worth tracking per benchmark, with their direction.
 TRACKED_FOMS: Dict[str, List[tuple]] = {
@@ -101,13 +133,19 @@ class ContinuousBenchmarking:
         self.caliper = CaliperSession()
         #: per-epoch resilience metadata: {epoch: {experiment: attempt info}}
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
-        if resume and self.checkpoint_path.exists():
-            self._load_checkpoint()
+        #: result-cache keys the journal holds, and how far into the store's
+        #: insertion order the journal has looked for entries to add
+        self._journaled: set = set()
+        self._cache_mark = 0
+        #: the next journal write starts a new file with a header
+        self._new_journal = True
+        if resume:
+            self._load_journal()
         #: incremental analysis over the accumulated history: per-series
         #: detector states read only each epoch's appends from the columnar
         #: database, so the post-epoch regression scan costs O(new) reads
-        #: instead of a full history rescan.  Built after any checkpoint
-        #: load so it wraps the restored database.
+        #: instead of a full history rescan.  Built after any journal
+        #: replay so it wraps the restored database.
         self.analysis = AnalysisEngine(
             self.db,
             threshold=self.detector.threshold,
@@ -119,60 +157,117 @@ class ContinuousBenchmarking:
     def benchmark_name(self) -> str:
         return self.experiment.split("/")[0]
 
-    # -- checkpoint / resume -------------------------------------------
+    # -- journal / resume ------------------------------------------------
     @property
-    def checkpoint_path(self) -> Path:
-        return self.workdir / "campaign_checkpoint.json"
+    def journal_path(self) -> Path:
+        return self.workdir / "campaign.journal"
 
-    def _save_checkpoint(self) -> None:
-        """Persist campaign state so a killed loop resumes where it died.
-        Written via a temp file + rename so a kill mid-write leaves the
-        previous checkpoint intact."""
+    def _journal_epoch(self, runs: List[Dict[str, Any]],
+                       attempts: Optional[Dict[str, Any]],
+                       key: Optional[str]) -> None:
+        """Count the epoch as done and append its line to the journal.
+        ``key`` is the fingerprint this epoch's ``runs`` were cached
+        under, if they were."""
+        self.epochs_run += 1
         with self.caliper.region("epoch:checkpoint"):
-            self.workdir.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "version": CHECKPOINT_VERSION,
-                "experiment": self.experiment,
-                "system": self.system_name,
+            store = self.result_cache
+            if len(store) < self._cache_mark:  # cleared since the last look
+                self._cache_mark = 0
+            added = store.items(self._cache_mark)
+            self._cache_mark += len(added)
+            entries = {k: v for k, v in added
+                       if k != key and k not in self._journaled}
+            self._journaled.update(entries)
+            if key is not None:
+                self._journaled.add(key)
+            stats = store.stats()
+            text = json.dumps({
                 "epochs_run": self.epochs_run,
-                "attempt_history": self.attempt_history,
-                "records": self.db.to_records(),
-                # additive key: older checkpoints (and readers) without it
-                # are still version-1 compatible
-                "result_cache": self.result_cache.snapshot(),
-            }
-            tmp = self.checkpoint_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(payload, indent=2))
-            tmp.replace(self.checkpoint_path)
+                "runs": runs,
+                "attempts": attempts or None,
+                "cache": {k: stats[k] for k in ("hits", "misses", "puts")},
+                "key": key,
+                "entries": entries,
+            }, separators=_COMPACT) + "\n"
+            mode = "ab"
+            if self._new_journal:
+                self.workdir.mkdir(parents=True, exist_ok=True)
+                header = {"version": JOURNAL_VERSION,
+                          "experiment": self.experiment,
+                          "system": self.system_name}
+                text = json.dumps(header, separators=_COMPACT) + "\n" + text
+                mode = "wb"
+            with open(self.journal_path, mode) as f:
+                f.write(text.encode())
+            self._new_journal = False
 
-    def _load_checkpoint(self) -> None:
-        try:
-            payload = json.loads(self.checkpoint_path.read_text())
-        except json.JSONDecodeError as e:
-            raise ValueError(
-                f"checkpoint {self.checkpoint_path} is corrupt ({e}); "
-                f"delete it (or pass resume=False) to restart the campaign"
-            ) from e
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint {self.checkpoint_path} has version "
-                f"{payload.get('version')}; expected {CHECKPOINT_VERSION}"
-            )
-        if (payload.get("experiment") != self.experiment
-                or payload.get("system") != self.system_name):
-            raise ValueError(
-                f"checkpoint {self.checkpoint_path} is for "
-                f"{payload.get('experiment')} on {payload.get('system')}, "
-                f"not {self.experiment} on {self.system_name}"
-            )
-        self.epochs_run = int(payload["epochs_run"])
-        self.attempt_history = dict(payload.get("attempt_history", {}))
-        self.db = MetricsDatabase.from_records(payload["records"])
-        snap = payload.get("result_cache")
-        if snap:
-            # restore() folds the checkpointed hit/miss counters into the
-            # baseline, so a resumed campaign reports *cumulative* rates
-            self.result_cache.restore(snap)
+    def _load_journal(self) -> None:
+        """Replay the journal: rows, attempt history, result-cache entries
+        and counters.  A torn last line is cut off, so its epoch reruns."""
+        path = self.journal_path
+        if not path.exists():
+            legacy = self.workdir / "campaign_checkpoint.json"
+            if legacy.exists():
+                raise ValueError(
+                    f"{legacy} is a version-1 checkpoint, which cannot be "
+                    f"resumed; pass resume=False to start a new campaign"
+                )
+            return
+        data = path.read_bytes()
+        keep = data.rfind(b"\n") + 1  # a tail with no newline is torn
+        lines = data[:keep].split(b"\n")[:-1]
+        parsed = []
+        for i, raw in enumerate(lines):
+            try:
+                parsed.append(json.loads(raw))
+            except ValueError as e:
+                if i < len(lines) - 1:
+                    raise ValueError(
+                        f"checkpoint journal {path} is corrupt at line "
+                        f"{i + 1} ({e}); delete it (or pass resume=False) "
+                        f"to restart the campaign"
+                    ) from e
+                keep -= len(raw) + 1  # a last line that does not parse
+        if parsed:
+            header = parsed[0]
+            if header.get("version") != JOURNAL_VERSION:
+                raise ValueError(
+                    f"checkpoint journal {path} has version "
+                    f"{header.get('version')}; expected {JOURNAL_VERSION}"
+                )
+            if (header.get("experiment") != self.experiment
+                    or header.get("system") != self.system_name):
+                raise ValueError(
+                    f"checkpoint journal {path} is for "
+                    f"{header.get('experiment')} on {header.get('system')}, "
+                    f"not {self.experiment} on {self.system_name}"
+                )
+        if keep < len(data):
+            with open(path, "r+b") as f:
+                f.truncate(keep)
+        if not parsed:
+            return  # torn header: no epoch completed
+        entries: Dict[str, Any] = {}
+        counters: Dict[str, int] = {}
+        for epoch, line in enumerate(parsed[1:]):
+            if line["epochs_run"] != epoch + 1:
+                raise ValueError(
+                    f"checkpoint journal {path} is corrupt: line {epoch + 2} "
+                    f"has epochs_run {line['epochs_run']}, not {epoch + 1}"
+                )
+            self.db.extend(_unpack_runs(line["runs"], self.system_name))
+            if line["attempts"]:
+                self.attempt_history[str(epoch)] = line["attempts"]
+            if line["key"] is not None:
+                entries[line["key"]] = {"runs": line["runs"], "epoch": epoch}
+            entries.update(line["entries"])
+            counters = line["cache"]
+            self.epochs_run = epoch + 1
+        # restore() folds the journaled counters into the store's baseline,
+        # so a resumed campaign reports *cumulative* rates
+        self.result_cache.restore(entries, counters)
+        self._journaled = set(entries)
+        self._new_journal = False
 
     # ------------------------------------------------------------------
     def _executor(self, system, epoch: int):
@@ -219,28 +314,34 @@ class ContinuousBenchmarking:
         produced these results, so ingest them directly — tagged with
         provenance — instead of re-running setup/run/analyze."""
         with self.caliper.region("epoch:replay"):
-            results = copy.deepcopy(entry["results"])
-            for exp in results["experiments"]:
-                variables = exp.setdefault("variables", {})
-                variables["epoch"] = str(epoch)
-                variables["attempts"] = "1"
-                variables["flaky"] = "false"
-                variables["cached"] = "true"
-                variables["cache_provenance"] = (
+            tags = {
+                "epoch": str(epoch),
+                "attempts": "1",
+                "flaky": "false",
+                "cached": "true",
+                "cache_provenance": (
                     f"replayed clean epoch {entry['epoch']} "
                     f"(fingerprint {key})"
-                )
-            count = self.db.ingest_analysis(self.system_name, results)
-        self.epochs_run += 1
-        self._save_checkpoint()
-        return count
+                ),
+            }
+            start = len(self.db)
+            for run in entry["runs"]:
+                # a copy: the entry is shared with the epoch that made it
+                manifest = {**run["manifest"], **tags}
+                for _seq, name, value, units in run["foms"]:
+                    self.db.record(run["benchmark"], self.system_name,
+                                   run["experiment"], name, value, units,
+                                   manifest)
+            runs = _pack_runs(self.db.to_records(start))
+        self._journal_epoch(runs, None, None)
+        return len(self.db) - start
 
     def run_epoch(self) -> int:
         """One scheduled benchmarking run; returns FOMs recorded.
 
         With ``incremental=True`` (the default), the epoch's inputs are
         fingerprinted first; if an identical epoch already ran cleanly —
-        e.g. this campaign was re-run with a shared or checkpoint-restored
+        e.g. this campaign was re-run with a shared or journal-restored
         ``result_cache`` — its results are replayed instead of re-executing
         the benchmarks.  Flaky or faulted epochs are never cached, so a
         replay always stands for a deterministic, converged run.
@@ -261,41 +362,42 @@ class ContinuousBenchmarking:
             outcomes = session.run(executor=self._executor(system, epoch))
         with self.caliper.region("epoch:analyze"):
             results = session.analyze()
-        # Pristine copy for the cache *before* epoch tagging mutates the
-        # payload — a later replay re-tags for its own epoch.
-        pristine = copy.deepcopy(results)
         # Tag every record with its epoch for the time axis, plus the
         # attempt log so the analysis layer can tell converged samples from
         # retried (flaky) ones.
-        by_name = {o.get("experiment"): o for o in outcomes}
-        epoch_meta: Dict[str, Any] = {}
-        for exp in results["experiments"]:
-            variables = exp.setdefault("variables", {})
-            variables["epoch"] = str(epoch)
-            outcome = by_name.get(exp["name"], {})
-            attempts = int(outcome.get("attempts", 1) or 1)
-            flaky = bool(outcome.get("flaky", False))
-            variables["attempts"] = str(attempts)
-            variables["flaky"] = "true" if flaky else "false"
-            if outcome.get("fault_kinds"):
-                variables["fault_kinds"] = ",".join(outcome["fault_kinds"])
-            if attempts != 1 or flaky:
-                epoch_meta[exp["name"]] = {
-                    "attempts": attempts,
-                    "flaky": flaky,
-                    "fault_kinds": list(outcome.get("fault_kinds", [])),
-                    "total_backoff_s": float(
-                        outcome.get("total_backoff_s", 0.0)
-                    ),
-                    "state": outcome.get("state", "completed"),
-                }
-        count = self.db.ingest_analysis(self.system_name, results)
-        if epoch_meta:
-            self.attempt_history[str(epoch)] = epoch_meta
-        if key is not None and self._epoch_is_clean(outcomes):
-            self.result_cache.put(key, {"results": pristine, "epoch": epoch})
-        self.epochs_run += 1
-        self._save_checkpoint()
+        with self.caliper.region("epoch:ingest"):
+            by_name = {o.get("experiment"): o for o in outcomes}
+            epoch_meta: Dict[str, Any] = {}
+            for exp in results["experiments"]:
+                variables = exp.setdefault("variables", {})
+                variables["epoch"] = str(epoch)
+                outcome = by_name.get(exp["name"], {})
+                attempts = int(outcome.get("attempts", 1) or 1)
+                flaky = bool(outcome.get("flaky", False))
+                variables["attempts"] = str(attempts)
+                variables["flaky"] = "true" if flaky else "false"
+                if outcome.get("fault_kinds"):
+                    variables["fault_kinds"] = ",".join(outcome["fault_kinds"])
+                if attempts != 1 or flaky:
+                    epoch_meta[exp["name"]] = {
+                        "attempts": attempts,
+                        "flaky": flaky,
+                        "fault_kinds": list(outcome.get("fault_kinds", [])),
+                        "total_backoff_s": float(
+                            outcome.get("total_backoff_s", 0.0)
+                        ),
+                        "state": outcome.get("state", "completed"),
+                    }
+            start = len(self.db)
+            count = self.db.ingest_analysis(self.system_name, results)
+            runs = _pack_runs(self.db.to_records(start))
+            if epoch_meta:
+                self.attempt_history[str(epoch)] = epoch_meta
+            if key is not None and self._epoch_is_clean(outcomes):
+                self.result_cache.put(key, {"runs": runs, "epoch": epoch})
+            else:
+                key = None  # only clean results may be replayed later
+        self._journal_epoch(runs, epoch_meta, key)
         return count
 
     def run(self, epochs: int) -> "ContinuousBenchmarking":
@@ -306,7 +408,7 @@ class ContinuousBenchmarking:
 
     def run_until(self, total_epochs: int) -> "ContinuousBenchmarking":
         """Run until ``total_epochs`` epochs exist — the resumable entry
-        point: after a kill, a fresh loop picks up the checkpoint and only
+        point: after a kill, a fresh loop replays the journal and only
         runs the missing epochs."""
         while self.epochs_run < total_epochs:
             self.run_epoch()
@@ -370,3 +472,31 @@ class ContinuousBenchmarking:
         else:
             lines.append("no regressions detected")
         return "\n".join(lines)
+
+
+def _pack_runs(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Group :meth:`MetricsDatabase.to_records` rows of the campaign's
+    system into runs: consecutive rows with the same benchmark, experiment
+    and an equal manifest share one manifest."""
+    runs: List[Dict[str, Any]] = []
+    for r in rows:
+        run = runs[-1] if runs else None
+        if (run is None or run["benchmark"] != r["benchmark"]
+                or run["experiment"] != r["experiment"]
+                or run["manifest"] != r["manifest"]):
+            run = {"benchmark": r["benchmark"], "experiment": r["experiment"],
+                   "manifest": r["manifest"], "foms": []}
+            runs.append(run)
+        run["foms"].append([r["seq"], r["fom_name"], r["value"], r["units"]])
+    return runs
+
+
+def _unpack_runs(runs: List[Dict[str, Any]],
+                 system: str) -> Iterable[Dict[str, Any]]:
+    """The :meth:`MetricsDatabase.to_records` rows that :func:`_pack_runs`
+    grouped."""
+    for run in runs:
+        for seq, name, value, units in run["foms"]:
+            yield {"seq": seq, "benchmark": run["benchmark"], "system": system,
+                   "experiment": run["experiment"], "fom_name": name,
+                   "value": value, "units": units, "manifest": run["manifest"]}

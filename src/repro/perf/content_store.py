@@ -7,16 +7,20 @@ statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 
 The store is in-memory only.  Nothing in the pipeline probes one from two
 threads, but a store is a public object that callers may share, so its
-methods take a lock.  It is snapshot/restorable so campaign
-checkpoints can carry both the cached entries *and* the cumulative counters
-across a kill/resume — a resumed campaign reports lifetime hit rates, not
-per-resume ones.  The checkpoint is the only way a store reaches disk.
+methods take a lock.  Entries keep their insertion order and are only
+added until :meth:`clear`, so :meth:`items` can hand a reader just the
+entries put since a position it remembers.  A campaign journal
+(:mod:`repro.core.continuous`) records each entry once and its cumulative
+counters every epoch, and :meth:`restore` loads both back on resume — a
+resumed campaign reports lifetime hit rates, not per-resume ones.  The
+journal is the only way a store reaches disk.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["ContentStore"]
 
@@ -33,7 +37,7 @@ class ContentStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        #: counters carried over from a prior life (checkpoint resume)
+        #: counters carried over from a prior life (journal resume)
         self._baseline = {k: 0 for k in _STAT_KEYS}
 
     # -- core map interface -------------------------------------------------
@@ -73,7 +77,7 @@ class ContentStore:
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Cumulative statistics (baseline from any restored snapshot plus
+        """Cumulative statistics (baseline from any :meth:`restore` plus
         this life's counters)."""
         with self._lock:
             hits = self.hits + self._baseline["hits"]
@@ -89,26 +93,22 @@ class ContentStore:
                 "hit_rate": (hits / lookups) if lookups else 0.0,
             }
 
-    # -- checkpoint integration ---------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable dump of entries + cumulative counters."""
+    # -- journal integration -------------------------------------------------
+    def items(self, start: int = 0) -> List[Tuple[str, Any]]:
+        """(key, value) pairs in insertion order, from position ``start``
+        on; the values are the stored objects, not copies."""
         with self._lock:
-            stats = self.stats()
-            return {
-                "name": self.name,
-                "entries": dict(self._entries),
-                "stats": {k: stats[k] for k in _STAT_KEYS},
-            }
+            return list(itertools.islice(self._entries.items(), start, None))
 
-    def restore(self, snapshot: Dict[str, Any]) -> "ContentStore":
-        """Load a prior :meth:`snapshot`: entries are merged in and the
-        snapshot's counters become the baseline, so :meth:`stats` reports
-        lifetime totals across restarts."""
+    def restore(self, entries: Dict[str, Any],
+                stats: Dict[str, Any]) -> "ContentStore":
+        """Load a prior life's state: ``entries`` are merged in and the
+        ``hits``/``misses``/``puts`` of ``stats`` become the baseline, so
+        :meth:`stats` reports lifetime totals across restarts."""
         with self._lock:
-            self._entries.update(snapshot.get("entries", {}))
-            prior = snapshot.get("stats", {})
+            self._entries.update(entries)
             for k in _STAT_KEYS:
-                self._baseline[k] += int(prior.get(k, 0))
+                self._baseline[k] += int(stats.get(k, 0))
         return self
 
     def __repr__(self):

@@ -61,6 +61,22 @@ class TestIndexedQuery:
                 assert (rebuilt.partition_rows(system, benchmark).tolist()
                         == db.partition_rows(system, benchmark).tolist())
 
+    def test_rows_since_a_mark_extend_in_pieces(self):
+        """to_records(start) hands over exactly the rows appended since
+        len(db) was start, and extend() appends them keeping their seq."""
+        db = _populated()
+        records = db.to_records()
+        for start in (0, 5, 23, 24):
+            assert db.to_records(start) == records[start:]
+        pieces = MetricsDatabase()
+        pieces.extend(db.to_records(0)[:10])
+        pieces.extend(db.to_records(10))
+        assert pieces.to_records() == records
+        assert (pieces.partition_rows("tioga", "amg2023").tolist()
+                == db.partition_rows("tioga", "amg2023").tolist())
+        rec = pieces.record("stream", "cts1", "x", "total_time", 1.0)
+        assert rec.seq == records[-1]["seq"] + 1
+
     def test_dump_load_round_trip_queries_indexed_path(self, tmp_path):
         """A dump/load cycle must be the identity: sequence numbers
         preserved, partitions rebuilt, and narrowed queries on the loaded

@@ -89,14 +89,14 @@ class TestContentStore:
         assert "k" not in store and len(store) == 0
         assert store.stats()["lookups"] == 0
 
-    def test_snapshot_restore_cumulative_stats(self):
+    def test_restore_cumulative_stats(self):
         first = ContentStore("life1")
         first.put("k", "v")
         first.get("k")
         first.get("gone")
-        snap = first.snapshot()
 
-        second = ContentStore("life2").restore(snap)
+        second = ContentStore("life2").restore(dict(first.items()),
+                                               first.stats())
         assert second.peek("k") == "v"
         # baseline carries the prior life's counters
         s = second.stats()
@@ -104,10 +104,15 @@ class TestContentStore:
         second.get("k")
         assert second.stats()["hits"] == 2  # cumulative across lives
 
-    def test_snapshot_roundtrips_through_json(self):
+    def test_items_restore_roundtrips_through_json(self):
         import json
 
         store = ContentStore("t")
+        store.put("a", 1)
         store.put("k", {"nested": [1, "two"]})
-        snap = json.loads(json.dumps(store.snapshot()))
-        assert ContentStore("t2").restore(snap).peek("k") == {"nested": [1, "two"]}
+        # insertion order from a position, holding the stored objects
+        assert store.items(1) == [("k", {"nested": [1, "two"]})]
+        assert store.items(1)[0][1] is store.peek("k")
+        saved = json.loads(json.dumps([dict(store.items()), store.stats()]))
+        assert (ContentStore("t2").restore(*saved).peek("k")
+                == {"nested": [1, "two"]})

@@ -142,6 +142,10 @@ class TestTimingState:
         )
         after_3, after_8 = self._node_counts(cold)
         assert after_3 == after_8
+        regions = cold.caliper.snapshot().regions()
+        # tagging, database ingest and the cache put of every run epoch
+        assert regions["epoch:ingest"].visits == 8
+        assert regions["epoch:checkpoint"].visits == 8
         warm = ContinuousBenchmarking(
             EXPERIMENT, SYSTEM, tmp_path / "warm", result_cache=shared,
         )
@@ -150,6 +154,7 @@ class TestTimingState:
         regions = warm.caliper.snapshot().regions()
         assert regions["epoch:replay"].visits == 8
         assert regions["epoch:checkpoint"].visits == 8
+        assert "epoch:ingest" not in regions
         # one scan per regressions() call and one per report()
         assert regions["analysis:scan"].visits == 16
 

@@ -416,11 +416,15 @@ class TestFaultTolerantCampaign:
 
     def test_checkpoint_written_every_epoch(self, tmp_path):
         loop = self._loop(tmp_path)
-        loop.run_epoch()
-        payload = json.loads(loop.checkpoint_path.read_text())
-        assert payload["epochs_run"] == 1
-        assert payload["system"] == "cts1"
-        assert payload["records"]
+        for n in (1, 2):
+            loop.run_epoch()
+            header, *epochs = [
+                json.loads(line)
+                for line in loop.journal_path.read_text().splitlines()]
+            assert header["system"] == "cts1"
+            # one line appended per epoch
+            assert [e["epochs_run"] for e in epochs] == list(range(1, n + 1))
+            assert epochs[-1]["runs"]
 
     def test_killed_campaign_resumes_from_checkpoint(self, tmp_path):
         # First incarnation dies after 3 of 5 epochs.
